@@ -19,7 +19,6 @@ import (
 	"sync"
 	"testing"
 
-	"twoface/internal/atomicfloat"
 	"twoface/internal/baselines"
 	"twoface/internal/cluster"
 	"twoface/internal/core"
@@ -475,9 +474,9 @@ func BenchmarkKernelDenseShift(b *testing.B) {
 // --- Kernel-layer microbenchmarks (hot-path overhaul). ---
 //
 // These isolate the inner loops of internal/kernels as wired into the
-// executor: the raw AXPY kernel, the async-stripe accumulate path (legacy
-// per-scalar atomics vs the stripe-local accumulator that replaced them),
-// and the sync row-panel multiply with its pre-resolved column table.
+// executor: the raw AXPY kernel, the async-stripe accumulate path
+// (stripe-local accumulator flushed into the run accumulator), and the sync
+// row-panel multiply with its pre-resolved column table.
 // scripts/bench.sh records them into BENCH_kernels.json.
 
 var benchKs = []int{32, 128, 512}
@@ -544,45 +543,25 @@ func benchStripe() (entries []sparse.NZ, cols, bufRow []int32) {
 }
 
 // BenchmarkKernelAsyncStripeAccumulate measures Algorithm 3's accumulate
-// phase two ways: "atomic" is the pre-overhaul path (one CAS-looped atomic
-// add per scalar per nonzero); "stripelocal" is the shipped path (dense
-// stripe-local accumulation flushed once per touched C row through
-// AddRange). The stripelocal variant must be ≥2x faster at K=128 and run
-// allocation-free in steady state.
+// phase as shipped: dense stripe-local accumulation, flushed once per
+// touched row into the worker's run-level accumulator (which the executor
+// merges into the rank's C block once per run). Steady state must not
+// allocate.
 func BenchmarkKernelAsyncStripeAccumulate(b *testing.B) {
 	entries, cols, bufRow := benchStripe()
 	const rows = 256
 	for _, k := range benchKs {
 		drows := RandomDense(len(cols), k, 3).Data
-		b.Run(fmt.Sprintf("K=%d/atomic", k), func(b *testing.B) {
-			out := atomicfloat.NewSlice(rows * k)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				ci := 0
-				for _, e := range entries {
-					for cols[ci] != e.Col {
-						ci++
-					}
-					brow := drows[int(bufRow[ci])*k : (int(bufRow[ci])+1)*k]
-					cOff := int(e.Row) * k
-					for j := 0; j < k; j++ {
-						if v := e.Val * brow[j]; v != 0 {
-							out.Add(cOff+j, v)
-						}
-					}
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("K=%d/stripelocal", k), func(b *testing.B) {
-			out := atomicfloat.NewSlice(rows * k)
-			var acc kernels.RowAccumulator
+			var acc, run kernels.RowAccumulator
 			// Warm the scratch to its high-water mark so steady state is
 			// measured, as the pooled executor workspaces reach after their
 			// first stripe.
 			acc.Begin(rows, k)
+			run.Begin(rows, k)
 			for _, e := range entries {
 				acc.Accumulate(e.Row, e.Val, drows[:k])
+				run.Accumulate(e.Row, e.Val, drows[:k])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -597,7 +576,7 @@ func BenchmarkKernelAsyncStripeAccumulate(b *testing.B) {
 					acc.Accumulate(e.Row, e.Val, drows[off:off+k])
 				}
 				for i, row := range acc.Touched() {
-					out.AddRange(int(row)*k, acc.Vals(i))
+					run.Accumulate(row, 1, acc.Vals(i))
 				}
 			}
 		})
@@ -624,8 +603,9 @@ func benchPanel() []sparse.NZ {
 
 // panelMultiplyTiled is the shipped sync-panel inner loop: nonzeros within a
 // row are paired so the panel-local accumulation runs through the two-source
-// register-tiled Axpy2, with an odd leftover flushed via plain Axpy.
-func panelMultiplyTiled(entries []sparse.NZ, table [][]float64, out *atomicfloat.Slice, acc []float64, k int) {
+// register-tiled Axpy2, with an odd leftover flushed via plain Axpy, and
+// each finished row is added into the owned C row block out.
+func panelMultiplyTiled(entries []sparse.NZ, table [][]float64, out, acc []float64, k int) {
 	clear(acc)
 	prevRow := entries[0].Row
 	pendVal, pendRow := 0.0, []float64(nil)
@@ -635,7 +615,7 @@ func panelMultiplyTiled(entries []sparse.NZ, table [][]float64, out *atomicfloat
 				kernels.Axpy(pendVal, pendRow, acc)
 				pendRow = nil
 			}
-			out.AddRange(int(prevRow)*k, acc)
+			kernels.Add(out[int(prevRow)*k:], acc)
 			clear(acc)
 			prevRow = e.Row
 		}
@@ -649,13 +629,13 @@ func panelMultiplyTiled(entries []sparse.NZ, table [][]float64, out *atomicfloat
 	if pendRow != nil {
 		kernels.Axpy(pendVal, pendRow, acc)
 	}
-	out.AddRange(int(prevRow)*k, acc)
+	kernels.Add(out[int(prevRow)*k:], acc)
 }
 
 // BenchmarkKernelPanelMultiply measures Algorithm 2's row-panel multiply as
 // shipped: pre-resolved column table, pair-tiled Axpy2 accumulation into a
-// panel-local row, one atomic AddRange per output row. Steady state must not
-// allocate.
+// panel-local row, one plain add into the owned C row block per output row.
+// Steady state must not allocate.
 func BenchmarkKernelPanelMultiply(b *testing.B) {
 	entries := benchPanel()
 	const rows, nCols = 32, 128
@@ -666,7 +646,7 @@ func BenchmarkKernelPanelMultiply(b *testing.B) {
 			for c := 0; c < nCols; c++ {
 				table[c] = bm.Row(c)
 			}
-			out := atomicfloat.NewSlice(rows * k)
+			out := make([]float64, rows*k)
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))
@@ -695,7 +675,7 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 			table[c] = bm.Row(c)
 		}
 		perNZ := func(b *testing.B, axpy func(float64, []float64, []float64)) {
-			out := atomicfloat.NewSlice(rows * k)
+			out := make([]float64, rows*k)
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))
@@ -705,13 +685,13 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 				prevRow := entries[0].Row
 				for _, e := range entries {
 					if e.Row != prevRow {
-						out.AddRange(int(prevRow)*k, acc)
+						kernels.Add(out[int(prevRow)*k:], acc)
 						clear(acc)
 						prevRow = e.Row
 					}
 					axpy(e.Val, table[e.Col], acc)
 				}
-				out.AddRange(int(prevRow)*k, acc)
+				kernels.Add(out[int(prevRow)*k:], acc)
 			}
 		}
 		b.Run(fmt.Sprintf("K=%d/generic", k), func(b *testing.B) {
@@ -721,7 +701,7 @@ func BenchmarkKernelPanelVariants(b *testing.B) {
 			perNZ(b, kernels.Axpy)
 		})
 		b.Run(fmt.Sprintf("K=%d/tiled", k), func(b *testing.B) {
-			out := atomicfloat.NewSlice(rows * k)
+			out := make([]float64, rows*k)
 			acc := make([]float64, k)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(entries) * k * 16))

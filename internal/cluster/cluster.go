@@ -231,7 +231,9 @@ func (c *Cluster) LiveRanks() []int {
 // category's cumulative clock (intervals within one rank and category are
 // non-overlapping and tile the category total exactly); Instant is called
 // for zero-duration markers (barrier entry, epilogue flush), stamped at the
-// rank's current modeled makespan. Implementations must be safe for
+// rank's current modeled makespan. Span is called under the rank's lock,
+// in the order the charges hit the ledger, so it must return promptly and
+// must not call back into the rank. Implementations must be safe for
 // concurrent use; obs.Tracer is the standard one. A nil recorder (the
 // default) costs one nil check per charge and leaves modeled time
 // bit-identical, since recording never feeds back into the simulation.
@@ -370,15 +372,15 @@ func (r *Rank) charge(cat Category, op string, dt float64) float64 {
 	}
 	start := *f
 	*f += dt
-	end := *f
-	rec := r.rec
-	r.mu.Unlock()
-	if rec != nil {
+	if r.rec != nil {
+		// Still under r.mu, so spans reach the recorder in ledger order and
+		// a recorder re-summing end-start reproduces the ledger exactly.
 		if op == "" {
 			op = cat.String()
 		}
-		rec.Span(r.ID, cat, op, start, end)
+		r.rec.Span(r.ID, cat, op, start, *f)
 	}
+	r.mu.Unlock()
 	return dt
 }
 

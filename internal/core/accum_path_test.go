@@ -1,10 +1,10 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
-	"twoface/internal/atomicfloat"
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
 	"twoface/internal/gen"
@@ -13,8 +13,8 @@ import (
 // The stripe-local accumulation path must match the sequential reference on
 // every registry matrix archetype — banded, uniform, hub-traffic, community
 // web, and RMAT structures stress different stripe shapes and touched-row
-// densities. 1e-9 absorbs the reassociation the per-stripe buffering
-// introduces relative to per-element atomic adds.
+// densities. 1e-9 absorbs the reassociation the per-stripe and per-worker
+// buffering introduces relative to the sequential reference.
 func TestExecAccumulationExactOnRegistry(t *testing.T) {
 	for _, spec := range gen.Specs() {
 		spec := spec
@@ -49,9 +49,9 @@ func TestExecAccumulationExactOnRegistry(t *testing.T) {
 }
 
 // Force every remote stripe asynchronous with many workers per node so
-// several stripe-local accumulators flush concurrently into the same C rows;
-// run under -race by scripts/check.sh, and check the sums survive the
-// concurrent AddRange flushes.
+// several run accumulators per rank fill concurrently and then merge into
+// the rank's C block; run under -race by scripts/check.sh, and check the
+// sums survive the merge.
 func TestExecConcurrentStripeFlushRace(t *testing.T) {
 	frac := 1.0
 	m := buildCase(t, 160, 4000, 8, 91)
@@ -75,40 +75,148 @@ func TestExecConcurrentStripeFlushRace(t *testing.T) {
 	}
 }
 
-// Pooled workspaces from different goroutines flushing through
-// atomicfloat.AddRange into one shared slice: the minimal reproduction of
-// the executor's write pattern, independent of the cluster machinery.
+// The executor's write pattern without the cluster machinery: eight rank
+// goroutines own disjoint row blocks of one shared C; each runs two async
+// workers that flush stripe-local accumulators into pooled run
+// accumulators, then merges the workers into its block once they have
+// joined. Under -race any write outside a rank's own block, or any read of
+// a run accumulator before its worker finished, is reported.
 func TestStripeFlushSharedOutputRace(t *testing.T) {
-	const rows, k, workers, rounds = 32, 8, 8, 25
-	out := atomicfloat.NewSlice(rows * k)
+	const ranks, workers, rows, k, rounds = 8, 2, 32, 8, 25
+	c := dense.New(ranks*rows, k)
 	x := make([]float64, k)
 	for i := range x {
 		x[i] = 0.5
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	var rankWg sync.WaitGroup
+	for rk := 0; rk < ranks; rk++ {
+		rankWg.Add(1)
 		go func() {
-			defer wg.Done()
-			ws := asyncScratchPool.Get().(*asyncScratch)
-			defer asyncScratchPool.Put(ws)
-			for round := 0; round < rounds; round++ {
-				ws.acc.Begin(rows, k)
-				for row := int32(0); row < rows; row++ {
-					ws.acc.Accumulate(row, 1, x)
-					ws.acc.Accumulate(row, 1, x)
+			defer rankWg.Done()
+			np := &NodePart{RowLo: int32(rk * rows), RowHi: int32((rk + 1) * rows)}
+			blk := nodeBlock(c, np)
+			wss := make([]*asyncScratch, workers)
+			for w := range wss {
+				wss[w] = asyncScratchPool.Get().(*asyncScratch)
+				wss[w].run.Begin(rows, k)
+			}
+			defer func() {
+				for _, ws := range wss {
+					asyncScratchPool.Put(ws)
 				}
-				for i, row := range ws.acc.Touched() {
-					out.AddRange(int(row)*k, ws.acc.Vals(i))
-				}
+			}()
+			var wg sync.WaitGroup
+			for _, ws := range wss {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out := (*runSink)(&ws.run)
+					for round := 0; round < rounds; round++ {
+						ws.acc.Begin(rows, k)
+						for row := int32(rows - 1); row >= 0; row-- {
+							ws.acc.Accumulate(row, 1, x)
+							ws.acc.Accumulate(row, 1, x)
+						}
+						for i, row := range ws.acc.Touched() {
+							out.addRow(row, ws.acc.Vals(i))
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for _, ws := range wss {
+				blk.merge(&ws.run)
 			}
 		}()
 	}
-	wg.Wait()
+	rankWg.Wait()
 	want := float64(workers * rounds)
-	for i := 0; i < rows*k; i++ {
-		if got := out.Load(i); got != want {
-			t.Fatalf("out[%d] = %v, want %v", i, got, want)
+	for i, got := range c.Data {
+		if got != want {
+			t.Fatalf("C[%d] = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// With one async worker the summation order of every C element is pinned —
+// the sync panel's row first, then the worker's run accumulator — so
+// repeated runs must agree bit for bit however the panel workers are
+// scheduled. The matrix is checked to contain rows that receive a sync
+// contribution and at least two async stripes' contributions, the rows
+// where concurrent atomic adds used to reassociate freely. The ledgers,
+// committed in unit order, must repeat exactly too once the remote-row
+// cache is warm.
+func TestExecDeterministicPinnedOrder(t *testing.T) {
+	frac := 0.5
+	m := buildCase(t, 160, 4000, 8, 33)
+	params := basicParams(4, 8, 4)
+	params.ForceSplit = &frac
+	prep, err := Preprocess(m.coo, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := 0
+	for i := range prep.Nodes {
+		np := &prep.Nodes[i]
+		syncRow := map[int32]bool{}
+		for _, e := range np.Sync.Entries {
+			syncRow[e.Row] = true
+		}
+		asyncStripes := map[int32]int{}
+		for n := 0; n < np.Async.NumStripes(); n++ {
+			seen := map[int32]bool{}
+			for _, e := range np.Async.Entries[np.Async.StripePtr[n]:np.Async.StripePtr[n+1]] {
+				if !seen[e.Row] {
+					seen[e.Row] = true
+					asyncStripes[e.Row]++
+				}
+			}
+		}
+		for row, n := range asyncStripes {
+			if n >= 2 && syncRow[row] {
+				mixed++
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("test matrix has no row with both sync and >=2 async contributions")
+	}
+	for _, sw := range []int{1, 4} {
+		var first []uint64
+		var firstBd []cluster.Breakdown
+		for run := 0; run < 20; run++ {
+			clu, err := cluster.New(4, cluster.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Exec(prep, m.b, clu, ExecOptions{AsyncWorkers: 1, SyncWorkers: sw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				if !res.C.AlmostEqual(m.want, 1e-9) {
+					d, _ := res.C.MaxAbsDiff(m.want)
+					t.Fatalf("SyncWorkers=%d: C differs from reference by %v", sw, d)
+				}
+				first = make([]uint64, len(res.C.Data))
+				for i, v := range res.C.Data {
+					first[i] = math.Float64bits(v)
+				}
+				continue
+			}
+			if run == 1 { // run 0 filled the remote-row cache; later runs hit it
+				firstBd = res.Breakdowns
+			}
+			for i, bd := range res.Breakdowns {
+				if bd != firstBd[i] {
+					t.Fatalf("SyncWorkers=%d run %d: rank %d ledger %+v, first run %+v", sw, run, i, bd, firstBd[i])
+				}
+			}
+			for i, v := range res.C.Data {
+				if math.Float64bits(v) != first[i] {
+					t.Fatalf("SyncWorkers=%d run %d: C[%d] bits %x, first run %x", sw, run, i, math.Float64bits(v), first[i])
+				}
+			}
 		}
 	}
 }

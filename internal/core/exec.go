@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"twoface/internal/atomicfloat"
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
 	"twoface/internal/kernels"
@@ -213,21 +212,20 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 	opts = opts.normalize()
 	clu.Reset()
 
-	k := params.K
-	out := atomicfloat.NewSlice(int(prep.Layout.NumRows) * k)
+	// C is the only full-size buffer: each rank writes just its own row
+	// block, so no two ranks ever touch the same element.
+	c := dense.New(int(prep.Layout.NumRows), params.K)
 	caches := prep.attachRowCaches(b)
 	rec := &recoveryCoordinator{}
 	start := time.Now()
 	runErr := clu.Run(func(r *cluster.Rank) error {
-		return execNode(prep, b, r, out, opts, caches, rec)
+		return execNode(prep, b, r, c, opts, caches, rec)
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
 	wall := time.Since(start)
 
-	c := dense.New(int(prep.Layout.NumRows), k)
-	out.CopyTo(c.Data)
 	res := &Result{
 		C:              c,
 		Breakdowns:     clu.Breakdowns(),
@@ -249,9 +247,17 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 // execNode is Algorithm 1 for one node. A rank whose fault plan dooms it to
 // crash runs the serialized checkpointing variant instead, so the set of
 // units its last checkpoint covers is deterministic (see execNodeDoomed).
-func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
+//
+// The rank owns its row block of C and assembles it without atomics: sync
+// panels add their rows straight into the block (every row lives in exactly
+// one panel), each async worker accumulates into its own run-level
+// accumulator, and once both halves have joined the workers' rows are added
+// into the block in worker-index order. Every element of C therefore sums
+// in a pinned order — sync row, then async workers 0, 1, ... — and with one
+// async worker the result is bit-identical from run to run.
+func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
 	if r.RecoveryEnabled() && !math.IsInf(r.CrashTime(), 1) {
-		return execNodeDoomed(prep, b, r, out, opts, rec)
+		return execNodeDoomed(prep, b, r, c, opts, rec)
 	}
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
@@ -276,10 +282,24 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 	}
 	r.ChargeOp(cluster.Other, "setup", net.SetupBase+net.SetupPerStripe*float64(len(np.RecvStripes)+np.Async.NumStripes()+rooted))
 
+	blk := nodeBlock(c, np)
 	recvBufs := make([][]float64, layout.NumStripes())
 	metricPoolRecvGet.Inc()
 	arena := recvArenaPool.Get().(*recvArena)
 	defer recvArenaPool.Put(arena) // all return paths join the goroutines first
+	// Each async worker's scratch, run accumulator included, is checked out
+	// up front and returned only after the merge below has read it.
+	wss := make([]*asyncScratch, opts.AsyncWorkers)
+	for w := range wss {
+		metricPoolAsyncGet.Inc()
+		wss[w] = asyncScratchPool.Get().(*asyncScratch)
+		wss[w].run.Begin(int(np.RowHi-np.RowLo), k)
+	}
+	defer func() {
+		for _, ws := range wss {
+			asyncScratchPool.Put(ws)
+		}
+	}()
 	var pl *syncPipeline
 	if !opts.DisableOverlap {
 		pl = newSyncPipeline(len(np.RecvStripes))
@@ -314,13 +334,13 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 			cache = caches[r.ID]
 		}
 	}
+	asyncLedger := newOrderedLedger(r, int(nWork))
 	wg.Add(opts.AsyncWorkers)
-	for w := 0; w < opts.AsyncWorkers; w++ {
+	for _, ws := range wss {
 		go func() {
 			defer wg.Done()
-			metricPoolAsyncGet.Inc()
-			ws := asyncScratchPool.Get().(*asyncScratch)
-			defer asyncScratchPool.Put(ws)
+			out := (*runSink)(&ws.run)
+			var charges chargeBuf
 			for {
 				n := asyncCursor.Add(1) - 1
 				if n >= nWork {
@@ -330,11 +350,12 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 					metricQueueDepth.Observe(float64(nWork - n))
 				}
 				var err error
+				charges = charges[:0]
 				if legacy {
 					metricAsyncStripes.Inc()
-					err = processAsyncStripe(prep, b, r, np, out, ws, int(n), opts.SkipCompute, opts.sampling())
+					err = processAsyncStripe(prep, b, r, &charges, np, out, ws, int(n), opts.SkipCompute, opts.sampling())
 				} else {
-					err = processAsyncBatch(prep, b, r, np, out, ws, batches[n], cache, opts.SkipCompute, opts.sampling())
+					err = processAsyncBatch(prep, b, r, &charges, np, out, ws, batches[n], cache, opts.SkipCompute, opts.sampling())
 				}
 				if err != nil {
 					asyncMu.Lock()
@@ -344,6 +365,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 					asyncMu.Unlock()
 					return
 				}
+				asyncLedger.deposit(int(n), charges)
 			}
 		}()
 	}
@@ -361,12 +383,11 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 	}
 	nPanels := np.Sync.NumPanels()
 	var deps *panelDeps
-	var panelCost []float64
 	if pl != nil {
 		deps = np.deps(layout)
-		panelCost = make([]float64, nPanels)
 	}
 	var panelCursor atomic.Int64
+	panelLedger := newOrderedLedger(r, nPanels)
 	resolver := makeRowResolver(prep, b, r.ID, recvBufs, k)
 	var panelWg sync.WaitGroup
 	var panelErr error
@@ -388,6 +409,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 				ws.release() // drop B/arena row references before pooling
 				panelScratchPool.Put(ws)
 			}()
+			var charges chargeBuf
 			for {
 				n := panelCursor.Add(1) - 1
 				if n >= int64(nPanels) {
@@ -406,14 +428,12 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 					}
 				}
 				metricSyncPanels.Inc()
-				cost, err := processSyncRowPanel(prep, r, np, out, resolver, ws, pi, opts.SkipCompute, opts.sampling())
-				if err != nil {
+				charges = charges[:0]
+				if err := processSyncRowPanel(prep, r, &charges, np, blk, resolver, ws, pi, opts.SkipCompute, opts.sampling()); err != nil {
 					setPanelErr(err)
 					return
 				}
-				if panelCost != nil {
-					panelCost[pi] = cost
-				}
+				panelLedger.deposit(int(n), charges)
 			}
 		}()
 	}
@@ -432,7 +452,15 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 	if panelErr != nil {
 		return panelErr
 	}
+	for _, ws := range wss {
+		blk.merge(&ws.run)
+	}
 	if pl != nil {
+		// Panel unit n is the n-th panel in deps.order.
+		panelCost := make([]float64, nPanels)
+		for n, pi := range deps.order {
+			panelCost[pi] = panelLedger.applied[n]
+		}
 		if ov := pipelineOverlap(pl, deps, panelCost); ov > 0 {
 			r.ChargeOp(cluster.Overlap, "sync.overlap", ov)
 		}
@@ -448,7 +476,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Sli
 	// The barrier above is the recovery fence: every doomed rank has either
 	// passed it (it outran its crash time) or left it by dying, so the death
 	// list is final and identical across survivors.
-	return runRecoveryPhase(prep, b, r, out, opts, rec)
+	return runRecoveryPhase(prep, b, r, c, opts, rec)
 }
 
 // stripeGate publishes one received dense stripe to the panel workers: the
@@ -596,11 +624,9 @@ func syncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float
 
 // processAsyncStripe is Algorithm 3: fetch the distinct dense rows of one
 // asynchronous stripe with a one-sided indexed get, then accumulate its
-// nonzeros into a stripe-local dense buffer that is flushed once per touched
-// C row. The flush is the only atomic traffic: each output row takes a
-// single AddRange pass instead of one CAS loop per scalar per nonzero, and
-// all scratch comes from the worker's pooled workspace.
-func processAsyncStripe(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart, out accumSink, ws *asyncScratch, n int, skipCompute bool, smp sampling) error {
+// nonzeros into a stripe-local dense buffer that is flushed into out once
+// per touched row. All scratch comes from the worker's pooled workspace.
+func processAsyncStripe(prep *Prep, b *dense.Matrix, r *cluster.Rank, ch charger, np *NodePart, out accumSink, ws *asyncScratch, n int, skipCompute bool, smp sampling) error {
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
 	k := params.K
@@ -632,11 +658,11 @@ func processAsyncStripe(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePa
 			return err
 		}
 		commCost = net.MulticastCost(elems, 1)
-		r.ChargeOp(cluster.SyncComm, "degrade.refetch", commCost)
+		ch.ChargeOp(cluster.SyncComm, "degrade.refetch", commCost)
 		metricDegradations.Inc()
 	} else {
 		commCost = net.OneSidedCost(len(ws.regions), elems)
-		r.ChargeOp(cluster.AsyncComm, "get.indexed", commCost)
+		ch.ChargeOp(cluster.AsyncComm, "get.indexed", commCost)
 	}
 	if obs.Default.Enabled() {
 		metricRegionsPerGet.Observe(float64(len(ws.regions)))
@@ -666,14 +692,13 @@ func processAsyncStripe(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePa
 			accumulateRun(acc, entries[i:j], drows[off:off+k], np.RowLo, smp)
 			i = j
 		}
-		base := int(np.RowLo) * k
 		for i, row := range acc.Touched() {
-			out.AddRange(base+int(row)*k, acc.Vals(i))
+			out.addRow(row, acc.Vals(i))
 		}
 	}
 	kept := float64(len(entries)) * smp.computeScale()
 	compCost := net.AsyncComputeCost(int64(kept), k, params.ModelAsyncCompThreads, 1)
-	r.ChargeOp(cluster.AsyncComp, "compute.async.stripe", compCost)
+	ch.ChargeOp(cluster.AsyncComp, "compute.async.stripe", compCost)
 	metricStripeSeconds.Observe(commCost + compCost)
 	return nil
 }
@@ -701,24 +726,20 @@ func makeRowResolver(prep *Prep, b *dense.Matrix, rank int, recvBufs [][]float64
 }
 
 // processSyncRowPanel is Algorithm 2: multiply one row panel with a
-// thread-local accumulation buffer, flushing to C with one atomic pass per
-// output row. Each of the panel's distinct columns is resolved to its dense
+// thread-local accumulation buffer, flushing to out once per output row. Each of the panel's distinct columns is resolved to its dense
 // B row once, into the workspace's flat slice table; the per-nonzero loop is
-// then a table lookup plus a shared AXPY kernel, with no closure calls. It
-// returns the panel's applied SyncComp charge for the pipeline's overlap
-// accounting.
-func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) (float64, error) {
+// then a table lookup plus a shared AXPY kernel, with no closure calls.
+func processSyncRowPanel(prep *Prep, r *cluster.Rank, ch charger, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) error {
 	params := prep.Params
 	net := r.Net()
 	k := params.K
 	panel := np.Sync.Entries[np.Sync.PanelPtr[n]:np.Sync.PanelPtr[n+1]]
 	if len(panel) == 0 {
-		return 0, nil
+		return nil
 	}
 	if !skipCompute {
 		ws.begin(int(prep.Layout.NumCols), k)
 		acc := ws.acc
-		base := int(np.RowLo) * k
 		clear(acc)
 		prevRow := panel[0].Row
 		// Consecutive nonzeros of a row pair up through the dual-source tiled
@@ -734,7 +755,7 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 					kernels.Axpy(pendVal, pendRow, acc)
 					pendRow = nil
 				}
-				out.AddRange(base+int(prevRow)*k, acc)
+				out.addRow(prevRow, acc)
 				clear(acc)
 				prevRow = e.Row
 			}
@@ -743,7 +764,7 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 			}
 			brow, err := ws.resolved(e.Col, resolve)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if pendRow == nil {
 				pendVal, pendRow = e.Val, brow
@@ -755,11 +776,11 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, np *NodePart, out accumSin
 		if pendRow != nil {
 			kernels.Axpy(pendVal, pendRow, acc)
 		}
-		out.AddRange(base+int(prevRow)*k, acc)
+		out.addRow(prevRow, acc)
 	}
 	kept := float64(len(panel)) * smp.computeScale()
-	cost := r.ChargeOpTimed(cluster.SyncComp, "compute.sync.panel",
-		net.SyncComputeCost(int64(kept), k, params.ModelSyncThreads))
+	cost := net.SyncComputeCost(int64(kept), k, params.ModelSyncThreads)
+	ch.ChargeOp(cluster.SyncComp, "compute.sync.panel", cost)
 	metricPanelSeconds.Observe(cost)
-	return cost, nil
+	return nil
 }

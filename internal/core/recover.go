@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"twoface/internal/atomicfloat"
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
 )
@@ -33,35 +32,23 @@ import (
 // 1/defaultCheckpointCadence (~2%) of runtime at any machine scale.
 const defaultCheckpointCadence = 50
 
-// accumSink receives a work unit's output-row contributions. The live
-// executor passes the shared atomic output directly; the doomed and recovery
-// paths interpose a stagedSink so a unit's output becomes visible only at a
-// checkpoint or in global unit order.
-type accumSink interface {
-	AddRange(off int, vals []float64)
-}
-
-// stagedSink buffers AddRange calls for deferred, ordered replay into the
-// real output. Values are copied at staging time because callers reuse their
+// stagedSink buffers row flushes for deferred, ordered replay into a rank's
+// row block. Values are copied at staging time because callers reuse their
 // accumulation scratch across rows and units.
 type stagedSink struct {
-	offs []int
-	lens []int
+	rows []int32
 	buf  []float64
 }
 
-func (s *stagedSink) AddRange(off int, vals []float64) {
-	s.offs = append(s.offs, off)
-	s.lens = append(s.lens, len(vals))
+func (s *stagedSink) addRow(row int32, vals []float64) {
+	s.rows = append(s.rows, row)
 	s.buf = append(s.buf, vals...)
 }
 
-// flush replays the staged ranges into out in staging order and resets.
-func (s *stagedSink) flush(out *atomicfloat.Slice) {
-	p := 0
-	for i, off := range s.offs {
-		out.AddRange(off, s.buf[p:p+s.lens[i]])
-		p += s.lens[i]
+// flush replays the staged rows into blk in staging order and resets.
+func (s *stagedSink) flush(blk *rowBlock) {
+	for i, row := range s.rows {
+		blk.addRow(row, s.buf[i*blk.k:(i+1)*blk.k])
 	}
 	s.reset()
 }
@@ -69,7 +56,7 @@ func (s *stagedSink) flush(out *atomicfloat.Slice) {
 // reset discards everything staged since the last flush — the doomed rank's
 // work past its last checkpoint, lost with the crash.
 func (s *stagedSink) reset() {
-	s.offs, s.lens, s.buf = s.offs[:0], s.lens[:0], s.buf[:0]
+	s.rows, s.buf = s.rows[:0], s.buf[:0]
 }
 
 // checkpointInterval resolves the effective checkpoint cadence for one rank:
@@ -123,7 +110,7 @@ func newCheckpointer(r *cluster.Rank, np *NodePart, k int, opts ExecOptions) *ch
 	return &checkpointer{interval: iv, cost: r.Net().CheckpointCost(elems), nextAt: iv}
 }
 
-func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *atomicfloat.Slice, unitsDone int) {
+func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *rowBlock, unitsDone int) {
 	if ck.interval <= 0 || r.Breakdown().NodeTime() < ck.nextAt {
 		return
 	}
@@ -144,12 +131,13 @@ func (ck *checkpointer) maybe(r *cluster.Rank, sink *stagedSink, out *atomicfloa
 // checkpoints got, leaves the barrier so the survivors' fence completes, and
 // returns nil. Die fails (propagating to the PR 3 abort path) only when no
 // live rank would remain to recover.
-func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator) error {
+func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opts ExecOptions, rec *recoveryCoordinator) error {
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
 	np := &prep.Nodes[r.ID]
 	k := params.K
 	crashAt := r.CrashTime()
+	out := nodeBlock(c, np)
 
 	colBlock := layout.ColBlock(r.ID)
 	r.Expose("B", b.RowRange(colBlock.Lo, colBlock.Hi))
@@ -215,11 +203,11 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicflo
 		var err error
 		switch {
 		case u < nAsync && legacy:
-			err = processAsyncStripe(prep, b, r, np, sink, aws, u, opts.SkipCompute, smp)
+			err = processAsyncStripe(prep, b, r, r, np, sink, aws, u, opts.SkipCompute, smp)
 		case u < nAsync:
-			err = processAsyncBatch(prep, b, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
+			err = processAsyncBatch(prep, b, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
 		default:
-			_, err = processSyncRowPanel(prep, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
+			err = processSyncRowPanel(prep, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
 		}
 		if err != nil {
 			if crashed(err) {
@@ -244,7 +232,7 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicflo
 	if err := r.Barrier(); err != nil {
 		return err
 	}
-	return runRecoveryPhase(prep, b, r, out, opts, rec)
+	return runRecoveryPhase(prep, b, r, c, opts, rec)
 }
 
 // doomedSyncTransfers is the doomed rank's serialized replica of
@@ -256,7 +244,7 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicflo
 // crash lands inside the transfer phase. Returns dead=true when the rank
 // hit its crash boundary; err carries transfer failures (which may
 // themselves wrap the crash, tripped inside a pull).
-func doomedSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, k int, ck *checkpointer, sink *stagedSink, out *atomicfloat.Slice, crashAt float64) (dead bool, err error) {
+func doomedSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, k int, ck *checkpointer, sink *stagedSink, out *rowBlock, crashAt float64) (dead bool, err error) {
 	layout := prep.Layout
 	net := r.Net()
 
@@ -304,12 +292,12 @@ func doomedSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][
 // unfinished units, then re-synchronize. The second barrier exists only on
 // the death path, and the death list is fence-consistent, so every live rank
 // takes the same barrier count.
-func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator) error {
+func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opts ExecOptions, rec *recoveryCoordinator) error {
 	deaths := r.Deaths()
 	if len(deaths) == 0 {
 		return nil
 	}
-	if err := recoverDead(prep, b, r, out, opts, rec, deaths); err != nil {
+	if err := recoverDead(prep, b, r, c, opts, rec, deaths); err != nil {
 		return err
 	}
 	return r.Barrier()
@@ -320,7 +308,7 @@ func runRecoveryPhase(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicf
 // flush pipelines can never wait on each other cyclically). All charges in
 // here land in the Recovery category via BeginRecovery, and the phase's
 // applied seconds and re-executed unit counts go to ResilienceStats.
-func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator, deaths []cluster.DeathRecord) error {
+func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opts ExecOptions, rec *recoveryCoordinator, deaths []cluster.DeathRecord) error {
 	live := liveAfter(r.P, deaths)
 	myPos := -1
 	for i, id := range live {
@@ -336,7 +324,7 @@ func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.
 	before := r.Breakdown().Recovery
 	var stripes, panels int64
 	for _, d := range deaths {
-		s, p, err := recoverOne(prep, b, r, out, opts, rec, d, live, myPos)
+		s, p, err := recoverOne(prep, b, r, c, opts, rec, d, live, myPos)
 		stripes += s
 		panels += p
 		if err != nil {
@@ -353,12 +341,14 @@ func recoverDead(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.
 // survivor takes the units at its position modulo the live count, computes
 // them into a stagedSink, and flushes in global unit order through the
 // death's shared pipeline — so the additions into the dead rank's C rows
-// happen in one deterministic sequence regardless of survivor interleaving,
-// and a same-seed replay reproduces C bit-for-bit.
-func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.Slice, opts ExecOptions, rec *recoveryCoordinator, d cluster.DeathRecord, live []int, myPos int) (stripes, panels int64, err error) {
+// happen in one deterministic sequence regardless of survivor interleaving
+// (the pipeline's mutex orders them for the race detector as well), and a
+// same-seed replay reproduces C bit-for-bit.
+func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opts ExecOptions, rec *recoveryCoordinator, d cluster.DeathRecord, live []int, myPos int) (stripes, panels int64, err error) {
 	layout, params := prep.Layout, prep.Params
 	k := params.K
 	np := &prep.Nodes[d.Rank]
+	out := nodeBlock(c, np)
 	legacy := params.LegacyAsyncGets
 	var batches []asyncBatch
 	nAsync := np.Async.NumStripes()
@@ -404,11 +394,11 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, out *atomicfloat.S
 		var uerr error
 		switch {
 		case u < nAsync && legacy:
-			uerr = processAsyncStripe(prep, b, r, np, sink, aws, u, opts.SkipCompute, smp)
+			uerr = processAsyncStripe(prep, b, r, r, np, sink, aws, u, opts.SkipCompute, smp)
 		case u < nAsync:
-			uerr = processAsyncBatch(prep, b, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
+			uerr = processAsyncBatch(prep, b, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
 		default:
-			_, uerr = processSyncRowPanel(prep, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
+			uerr = processSyncRowPanel(prep, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
 		}
 		if uerr != nil {
 			return abort(uerr)

@@ -298,7 +298,7 @@ func fingerprint(data []float64) uint64 {
 // the same per-stripe AsyncComputeCost as the per-stripe path, and the same
 // SyncFallbackPull degradation — applied per batch — when the retry budget
 // runs out.
-func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePart, out accumSink, ws *asyncScratch, bt asyncBatch, cache *rowCache, skipCompute bool, smp sampling) error {
+func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, ch charger, np *NodePart, out accumSink, ws *asyncScratch, bt asyncBatch, cache *rowCache, skipCompute bool, smp sampling) error {
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
 	k := params.K
@@ -369,11 +369,11 @@ func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePar
 				return err
 			}
 			commCost = net.MulticastCost(elems, 1)
-			r.ChargeOp(cluster.SyncComm, "degrade.refetch", commCost)
+			ch.ChargeOp(cluster.SyncComm, "degrade.refetch", commCost)
 			metricDegradations.Inc()
 		} else {
 			commCost = net.OneSidedBatchCost(len(ws.regions), elems)
-			r.ChargeOp(cluster.AsyncComm, "get.indexed", commCost)
+			ch.ChargeOp(cluster.AsyncComm, "get.indexed", commCost)
 		}
 	}
 	metricCacheHits.Add(hits)
@@ -406,7 +406,7 @@ func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePar
 	}
 
 	// Per-stripe accumulation, exactly as the per-stripe path: stripe-local
-	// buffer, one atomic AddRange per touched C row, per-stripe AsyncComp
+	// buffer, one flush into out per touched row, per-stripe AsyncComp
 	// charge. The batch's communication cost is spread evenly across its
 	// stripes for the stripe-seconds histogram.
 	commShare := commCost / float64(bt.hi-bt.lo)
@@ -442,14 +442,13 @@ func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, np *NodePar
 				accumulateRun(acc, entries[i:j], brow, np.RowLo, smp)
 				i = j
 			}
-			base := int(np.RowLo) * k
 			for i, row := range acc.Touched() {
-				out.AddRange(base+int(row)*k, acc.Vals(i))
+				out.addRow(row, acc.Vals(i))
 			}
 		}
 		kept := float64(len(entries)) * smp.computeScale()
 		compCost := net.AsyncComputeCost(int64(kept), k, params.ModelAsyncCompThreads, 1)
-		r.ChargeOp(cluster.AsyncComp, "compute.async.stripe", compCost)
+		ch.ChargeOp(cluster.AsyncComp, "compute.async.stripe", compCost)
 		metricStripeSeconds.Observe(commShare + compCost)
 	}
 	return nil

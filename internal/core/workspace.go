@@ -15,7 +15,11 @@ import (
 
 // asyncScratch backs processAsyncStripe and processAsyncBatch: the
 // unique-column scan, the coalesced fetch regions, the one-sided fetch
-// buffer, and the stripe-local accumulator. The batched path additionally
+// buffer, the stripe-local accumulator, and the worker's run-level
+// accumulator over its rank's rows, which every stripe flushes into and
+// which execNode merges into C once the run's halves have joined. It is
+// the run accumulator that makes the workspace live for the whole run
+// rather than for one worker's loop. The batched path additionally
 // uses per-stripe column bounds, the per-column row references, the copies
 // of cache-hit rows, and the per-stripe miss/coalesce scratch.
 // Retention note: every asyncScratch field is a slice of values (indices,
@@ -30,6 +34,7 @@ type asyncScratch struct {
 	regions []cluster.Region
 	drows   []float64
 	acc     kernels.RowAccumulator
+	run     kernels.RowAccumulator
 
 	stripeColPtr []int32          // bounds of each batch stripe's run in cols
 	rowRef       []int32          // per col: >=0 drows row, <0 ^idx into crows

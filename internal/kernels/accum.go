@@ -3,9 +3,10 @@ package kernels
 // RowAccumulator gathers scaled dense rows into a compact per-row buffer so
 // that a stream of (row, alpha, x) updates in arbitrary row order — the
 // column-major nonzero order of an asynchronous stripe — turns into exactly
-// one flush per distinct output row. The executor drains it through
-// atomicfloat.AddRange, replacing one CAS-looped atomic add per scalar with
-// plain float adds plus a single atomic pass per touched row.
+// one flush per distinct output row. The executor uses one per stripe,
+// flushed into a second, run-level one per async worker, which it adds into
+// the rank's row block of C once the run's work has joined — plain float
+// adds throughout, since each rank alone writes its rows.
 //
 // Row indices are dense small integers (node-local row offsets). First
 // touches are detected with an epoch stamp per row index, so Begin is O(1):

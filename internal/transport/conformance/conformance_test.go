@@ -72,8 +72,10 @@ func TestTCPBackendConformance(t *testing.T) { Run(t, tcpBackend()) }
 // TestCrossBackendBitIdenticalC is the ISSUE's headline acceptance check:
 // the same seed and matrix, executed on the in-process simulator and on the
 // TCP transport (one cluster per rank, sockets between them), must produce
-// a bit-identical C. Single-worker execution pins the accumulation order
-// (concurrent workers reassociate float additions by scheduling), so any
+// a bit-identical C. A single async worker pins the accumulation order of
+// every element (its sync panel row, then the async run accumulator; several
+// async workers would split stripes between them by scheduling), while the
+// panel workers may run concurrently — each C row lives in one panel. Any
 // byte of drift here means the transport moved wrong data.
 func TestCrossBackendBitIdenticalC(t *testing.T) {
 	const (
@@ -84,7 +86,7 @@ func TestCrossBackendBitIdenticalC(t *testing.T) {
 	b := twoface.RandomDense(int(a.NumCols), k, 8)
 	net := cluster.Default()
 	params := core.Params{P: p, K: k, W: 8, Coef: twoface.DeriveCoefficients(net)}
-	opts := core.ExecOptions{AsyncWorkers: 1, SyncWorkers: 1}
+	opts := core.ExecOptions{AsyncWorkers: 1, SyncWorkers: 4}
 
 	// Reference: the simulator, all ranks in-process.
 	memPrep, err := core.Preprocess(a, params)

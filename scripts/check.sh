@@ -29,6 +29,10 @@ go test -race ./...
 echo "== go test -race ./... (TWOFACE_FORCE_GENERIC=1)"
 TWOFACE_FORCE_GENERIC=1 go test -race ./...
 
+echo "== C assembly: run accumulators, rank merge, pinned-order determinism (-race, repeated)"
+go test -race -count=10 -run 'StripeFlush|Determinis|CrossBackend' \
+    ./internal/core ./internal/transport/conformance
+
 echo "== kernel benchmark smoke (1 iteration each)"
 go test -run '^$' \
     -bench '^BenchmarkKernel(Axpy|AxpyVariants|AsyncStripeAccumulate|PanelMultiply|PanelVariants)$' \
