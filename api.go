@@ -43,10 +43,6 @@ type Options struct {
 	// AsyncWorkers is the per-node goroutine count draining the one-sided
 	// queue (wall-clock only, like Workers). Default 2.
 	AsyncWorkers int
-	// LegacyAsyncGets restores the pre-aggregation one-sided path: one
-	// GetIndexed per async stripe, no cross-run row cache. The fidelity
-	// toggle for reproducing earlier accounting.
-	LegacyAsyncGets bool
 	// MaxAsyncBatchBytes caps how many fetched bytes one aggregated
 	// one-sided request may carry (0 uses the core default of 1 MiB).
 	MaxAsyncBatchBytes int64
@@ -56,12 +52,6 @@ type Options struct {
 	// Verify keeps the arithmetic on (default). Setting TimingOnly skips
 	// the floating-point loops, which is how the experiment harness runs.
 	TimingOnly bool
-	// DisableOverlap serializes the synchronous phase the way the seed
-	// executor did: every dense stripe lands before the first row panel
-	// runs, and modeled node time charges the full SyncComm + SyncComp sum
-	// with no pipelining credit. The escape hatch for A/B-ing the pipelined
-	// path; results stay bit-identical either way.
-	DisableOverlap bool
 	// UseColumnClassifier switches from the paper's cost-model balancer to
 	// the column-popularity heuristic of its future-work discussion: dense
 	// stripes needed by at least ColumnSyncThreshold nodes go collective,
@@ -222,11 +212,10 @@ func autoWidth(cols int32) int32 {
 func (s *System) params(net NetModel) core.Params {
 	p := core.Params{
 		P: s.opts.Nodes, K: s.opts.DenseColumns, W: s.opts.StripeWidth,
-		RowPanelHeight:  s.opts.RowPanelHeight,
-		MemBudgetElems:  s.opts.MemBudgetElems,
-		MaxBatchBytes:   s.opts.MaxAsyncBatchBytes,
-		LegacyAsyncGets: s.opts.LegacyAsyncGets,
-		RowCacheElems:   s.opts.RowCacheElems,
+		RowPanelHeight: s.opts.RowPanelHeight,
+		MemBudgetElems: s.opts.MemBudgetElems,
+		MaxBatchBytes:  s.opts.MaxAsyncBatchBytes,
+		RowCacheElems:  s.opts.RowCacheElems,
 	}
 	if s.opts.Coefficients != nil {
 		p.Coef = *s.opts.Coefficients
@@ -445,7 +434,6 @@ func (s *System) LoadPlan(path string) (*Plan, error) {
 	// Communication knobs are runtime policy, not part of the stored
 	// classification: the loading system's settings win over whatever
 	// defaults the plan was normalized with when it was written.
-	prep.Params.LegacyAsyncGets = s.opts.LegacyAsyncGets
 	if s.opts.MaxAsyncBatchBytes != 0 {
 		prep.Params.MaxBatchBytes = s.opts.MaxAsyncBatchBytes
 	}
@@ -468,7 +456,6 @@ func (p *Plan) execOptions() core.ExecOptions {
 		AsyncWorkers:       aw,
 		SyncWorkers:        p.sys.opts.Workers,
 		SkipCompute:        p.sys.opts.TimingOnly,
-		DisableOverlap:     p.sys.opts.DisableOverlap,
 		CheckpointInterval: p.sys.opts.CheckpointInterval,
 	}
 }

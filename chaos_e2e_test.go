@@ -283,17 +283,17 @@ func TestChaosCrashFailsCleanly(t *testing.T) {
 // TestChaosRecoverySingleWorkerExact is the recovery acceptance test: a
 // seeded crash plan with recovery enabled completes without abort, the
 // recovered C agrees with the fault-free run, and a same-seed replay is
-// bit-identical in C, makespan, and every resilience counter. Runs both the
-// batched and the legacy one-get-per-stripe async paths, with crashes at
-// the very start and in the middle of the run.
+// bit-identical in C, makespan, and every resilience counter. Runs both
+// async unit granularities — owner-batches under the default cap, and one
+// stripe per batch under a 1-byte cap — with crashes at the very start and
+// in the middle of the run.
 func TestChaosRecoverySingleWorkerExact(t *testing.T) {
 	a, b := chaosWorkload(t)
-	for _, legacy := range []bool{false, true} {
-		name := "batched"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, arm := range []struct {
+		name     string
+		maxBatch int64
+	}{{"batched", 0}, {"per-stripe", 1}} {
+		t.Run(arm.name, func(t *testing.T) {
 			runOnce := func(plan *FaultPlan, recovery bool, interval float64) *core.Result {
 				t.Helper()
 				sys, err := New(Options{Nodes: chaosNodes, DenseColumns: b.Cols})
@@ -301,7 +301,7 @@ func TestChaosRecoverySingleWorkerExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				net := sys.Net(a.NumRows)
-				params := core.Params{P: chaosNodes, K: b.Cols, W: 8, Coef: DeriveCoefficients(net), LegacyAsyncGets: legacy}
+				params := core.Params{P: chaosNodes, K: b.Cols, W: 8, Coef: DeriveCoefficients(net), MaxBatchBytes: arm.maxBatch}
 				prep, err := core.Preprocess(a, params)
 				if err != nil {
 					t.Fatal(err)

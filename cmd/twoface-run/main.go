@@ -59,8 +59,6 @@ type cli struct {
 	k, p       int
 	syncW      int
 	asyncW     int
-	legacy     bool
-	noOverlap  bool
 	verify     bool
 	trace      bool
 	traceOut   string
@@ -99,8 +97,6 @@ func main() {
 	flag.IntVar(&c.p, "p", 8, "simulated nodes")
 	flag.IntVar(&c.syncW, "sync-workers", 4, "goroutines per node on the collective path (wall-clock only)")
 	flag.IntVar(&c.asyncW, "async-workers", 2, "goroutines per node draining the one-sided queue (wall-clock only)")
-	flag.BoolVar(&c.legacy, "legacy-async", false, "one get per async stripe, no batching or row cache (seed accounting)")
-	flag.BoolVar(&c.noOverlap, "no-overlap", false, "serialize stripe multicasts before panel compute (seed accounting, no pipelining credit)")
 	flag.BoolVar(&c.verify, "verify", true, "check the result against the reference kernel")
 	flag.BoolVar(&c.trace, "trace", false, "print a per-node transfer trace summary")
 	flag.StringVar(&c.traceOut, "trace-out", "", "write a Chrome trace-event JSON of the run's virtual-time spans")
@@ -180,8 +176,7 @@ func run(c cli) error {
 
 	opts := twoface.Options{
 		Nodes: c.p, DenseColumns: c.k, TimingOnly: !c.verify, Chaos: chaosPlan,
-		Workers: c.syncW, AsyncWorkers: c.asyncW, LegacyAsyncGets: c.legacy,
-		DisableOverlap:      c.noOverlap,
+		Workers: c.syncW, AsyncWorkers: c.asyncW,
 		ForceGenericKernels: c.forceGen, AllowFMA: c.allowFMA,
 		Recover: c.recover, CheckpointInterval: c.ckptEvery,
 	}
@@ -346,8 +341,7 @@ func reportChaos(c cli, a *twoface.SparseMatrix, res *twoface.Result, plan *twof
 	twinCfg.quiet = true
 	twinSys, err := twoface.New(twoface.Options{
 		Nodes: c.p, DenseColumns: c.k,
-		Workers: c.syncW, AsyncWorkers: c.asyncW, LegacyAsyncGets: c.legacy,
-		DisableOverlap: c.noOverlap,
+		Workers: c.syncW, AsyncWorkers: c.asyncW,
 	})
 	if err != nil {
 		return err

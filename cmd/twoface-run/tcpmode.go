@@ -68,8 +68,7 @@ func runTCP(c cli) error {
 
 	opts := twoface.Options{
 		Nodes: c.p, DenseColumns: c.k, Transport: tr,
-		Workers: c.syncW, AsyncWorkers: c.asyncW, LegacyAsyncGets: c.legacy,
-		DisableOverlap:      c.noOverlap,
+		Workers: c.syncW, AsyncWorkers: c.asyncW,
 		ForceGenericKernels: c.forceGen, AllowFMA: c.allowFMA,
 	}
 	if c.logLevel != "" {
@@ -223,7 +222,7 @@ func workloadDigest(c cli, a *twoface.SparseMatrix) uint64 {
 	}
 	st := a.ComputeStats()
 	write("v1", c.in, c.name, math.Float64bits(c.scale), c.seed, c.k, c.p,
-		c.legacy, c.noOverlap, st.NumRows, st.NumCols, st.NNZ)
+		st.NumRows, st.NumCols, st.NNZ)
 	return h.Sum64()
 }
 

@@ -192,8 +192,7 @@ func (n NetModel) OneSidedCost(regions int, elems int64) float64 {
 // the full per-request overhead AlphaA is paid once, and each additional
 // region pays only the marginal RegionAlpha. With one region it equals
 // OneSidedCost; with many it is strictly cheaper, which is the modeled win
-// of the owner-batched scheduler (core.Params.LegacyAsyncGets restores the
-// per-stripe OneSidedCost accounting).
+// of the owner-batched async scheduler over one request per region.
 func (n NetModel) OneSidedBatchCost(regions int, elems int64) float64 {
 	if regions <= 0 {
 		return 0
@@ -245,9 +244,9 @@ type Breakdown struct {
 	// above are charged identically whether or not the executor pipelines;
 	// the overlap credit is what turns the serial sum SyncComm + SyncComp
 	// into the pipelined sync-half makespan. It never exceeds
-	// min(SyncComm, SyncComp) and is zero under core's DisableOverlap
-	// escape hatch, for the SDDMM executor, and for every baseline, which
-	// preserves the legacy serial accounting exactly.
+	// min(SyncComm, SyncComp) and is zero for the SDDMM executor and for
+	// every baseline, which keep the serial accounting; zeroing it on any
+	// ledger yields that ledger's serial makespan exactly.
 	SyncOverlap float64
 	// Checkpoint is virtual time spent writing crash-recovery checkpoints
 	// of the rank's C accumulator state to node-local storage. Serial with

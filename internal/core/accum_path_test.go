@@ -232,19 +232,6 @@ func TestScratchVariantsMatch(t *testing.T) {
 		}
 	}
 	want := uniqueCols(entries)
-	got := appendUniqueCols(make([]int32, 0, 2), entries)
-	if len(got) != len(want) {
-		t.Fatalf("appendUniqueCols len %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("appendUniqueCols[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if cap(got) < len(entries) {
-		t.Fatalf("scratch must be sized from the entry count, got cap %d", cap(got))
-	}
-
 	wantReg, wantBuf, wantFetched := coalesceRegions(want, 2, 0, 4)
 	gotReg, gotBuf, gotFetched := coalesceRegionsInto(make([]cluster.Region, 0, 1), make([]int32, 1), want, 2, 0, 4)
 	if gotFetched != wantFetched || len(gotReg) != len(wantReg) || len(gotBuf) != len(wantBuf) {

@@ -53,12 +53,6 @@ type Params struct {
 	// cap degenerates to the per-stripe schedule without breaking anything.
 	MaxBatchBytes int64
 
-	// LegacyAsyncGets is the fidelity toggle for paper-figure reproduction:
-	// it restores the seed per-stripe async path — one GetIndexed per async
-	// stripe, per-request AlphaA accounting via NetModel.OneSidedCost, no
-	// request batching and no remote-row cache.
-	LegacyAsyncGets bool
-
 	// RowCacheElems bounds the per-rank remote-row cache, in float64
 	// elements. Rows fetched one-sidedly are kept (up to this bound) and
 	// served locally when a later Exec on the same Prep and same B needs

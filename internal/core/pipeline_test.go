@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -8,40 +9,38 @@ import (
 	"twoface/internal/chaos"
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
+	"twoface/internal/gen"
 )
 
-// execMode preps and runs one case on a fresh cluster with the pipelined
-// sync path on or off. A fresh Prep per run keeps the row cache cold in
-// both modes, so the two runs are true twins.
-func execMode(t *testing.T, m *testMatrix, params Params, disableOverlap bool) *Result {
-	t.Helper()
-	prep, err := Preprocess(m.coo, params)
-	if err != nil {
-		t.Fatal(err)
+// serialMakespan is the makespan the same run would have without pipelining.
+// Every category is charged identically whether or not multicasts overlap
+// panel compute, so removing the SyncOverlap credit from each rank's ledger
+// yields the serialized sync half exactly.
+func serialMakespan(bds []cluster.Breakdown) float64 {
+	var t float64
+	for _, bd := range bds {
+		bd.SyncOverlap = 0
+		t = math.Max(t, bd.NodeTime())
 	}
-	clu, err := cluster.New(params.P, cluster.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Exec(prep, m.b, clu, ExecOptions{DisableOverlap: disableOverlap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return t
 }
 
-func relClose(a, b float64) bool {
-	d := math.Abs(a - b)
-	return d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// TestPipelinedMatchesSerial is the bit-exactness contract of the pipelined
-// collective path: against DisableOverlap it must move the same bytes in
-// the same messages (exact integer ledgers), charge the same per-category
-// virtual time, and compute the same C — only the SyncOverlap credit, and
-// through it NodeTime, may differ, and never for the worse.
-func TestPipelinedMatchesSerial(t *testing.T) {
-	var totalOverlap float64
+// TestPipelinedOverlapBounded is the accounting contract of the collective
+// path: each rank's overlap credit lies in [0, min(SyncComm, SyncComp)], so
+// the makespan is never worse than the serialized one derived from the same
+// ledgers, C still matches the reference, and the credit is a real share of
+// the serial sync half. The executor has one sync path, so there is no
+// second run whose transfer and category ledgers this could be compared
+// against; those are charged independently of the overlap credit by
+// construction.
+func TestPipelinedOverlapBounded(t *testing.T) {
+	type overlapCase struct {
+		name     string
+		m        *testMatrix
+		params   Params
+		minShare float64 // least overlap / (SyncComm + SyncComp) over all ranks
+	}
+	var cases []overlapCase
 	for _, tc := range []struct {
 		p int
 		k int
@@ -49,45 +48,66 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 	}{
 		{2, 4, 8}, {4, 8, 4}, {8, 16, 2}, {4, 32, 8},
 	} {
-		m := buildCase(t, 160, 2400, tc.k, uint64(tc.p*1000+tc.k))
-		params := basicParams(tc.p, tc.k, tc.w)
-		serial := execMode(t, m, params, true)
-		piped := execMode(t, m, params, false)
+		cases = append(cases, overlapCase{
+			name:   fmt.Sprintf("random p=%d k=%d", tc.p, tc.k),
+			m:      buildCase(t, 160, 2400, tc.k, uint64(tc.p*1000+tc.k)),
+			params: basicParams(tc.p, tc.k, tc.w),
+		})
+	}
+	// Uniform random panels all wait on the last stripe to land, so they earn
+	// almost no credit; a community-structured matrix has panels whose
+	// stripes arrive early, and earns about 3% at this size.
+	spec, err := gen.ByName("web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scale, k = 0.01, 16
+	a := spec.Build(scale, 7)
+	b := dense.Random(int(a.NumCols), k, 8)
+	want, err := a.ToCSR().Mul(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, overlapCase{
+		name:     "web",
+		m:        &testMatrix{coo: a, b: b, want: want},
+		params:   Params{P: 4, K: k, W: spec.ScaledWidth(scale)},
+		minShare: 0.01,
+	})
 
-		if !piped.C.AlmostEqual(m.want, 1e-9) || !serial.C.AlmostEqual(m.want, 1e-9) {
-			t.Fatalf("p=%d k=%d: result differs from reference", tc.p, tc.k)
+	var totalOverlap float64
+	for _, tc := range cases {
+		prep, err := Preprocess(tc.m.coo, tc.params)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !piped.C.AlmostEqual(serial.C, 1e-9) {
-			t.Fatalf("p=%d k=%d: pipelined C differs from serial C", tc.p, tc.k)
+		clu, err := cluster.New(tc.params.P, cluster.Default())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for rank := range serial.Transfer {
-			if piped.Transfer[rank] != serial.Transfer[rank] {
-				t.Fatalf("p=%d k=%d rank %d: transfer ledgers differ: %+v vs %+v",
-					tc.p, tc.k, rank, piped.Transfer[rank], serial.Transfer[rank])
-			}
+		res, err := Exec(prep, tc.m.b, clu, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for rank, sb := range serial.Breakdowns {
-			pb := piped.Breakdowns[rank]
-			if sb.SyncOverlap != 0 {
-				t.Fatalf("rank %d: serial run carries overlap credit %g", rank, sb.SyncOverlap)
-			}
-			if !relClose(pb.SyncComm, sb.SyncComm) || !relClose(pb.SyncComp, sb.SyncComp) ||
-				!relClose(pb.AsyncComm, sb.AsyncComm) || !relClose(pb.AsyncComp, sb.AsyncComp) ||
-				!relClose(pb.Other, sb.Other) {
-				t.Fatalf("p=%d k=%d rank %d: category totals differ: %+v vs %+v", tc.p, tc.k, rank, pb, sb)
-			}
-			if pb.SyncOverlap < 0 || pb.SyncOverlap > math.Min(pb.SyncComm, pb.SyncComp)*(1+1e-9) {
-				t.Fatalf("rank %d: overlap %g outside [0, min(%g, %g)]",
-					rank, pb.SyncOverlap, pb.SyncComm, pb.SyncComp)
-			}
-			if pb.NodeTime() > sb.NodeTime()*(1+1e-9) {
-				t.Fatalf("rank %d: pipelined node time %g worse than serial %g", rank, pb.NodeTime(), sb.NodeTime())
-			}
-			totalOverlap += pb.SyncOverlap
+		if !res.C.AlmostEqual(tc.m.want, 1e-9) {
+			t.Fatalf("%s: result differs from reference", tc.name)
 		}
-		if piped.ModeledSeconds > serial.ModeledSeconds*(1+1e-9) {
-			t.Fatalf("p=%d k=%d: pipelined makespan %g worse than serial %g",
-				tc.p, tc.k, piped.ModeledSeconds, serial.ModeledSeconds)
+		var overlap, serialSync float64
+		for rank, bd := range res.Breakdowns {
+			if bd.SyncOverlap < 0 || bd.SyncOverlap > math.Min(bd.SyncComm, bd.SyncComp)*(1+1e-9) {
+				t.Fatalf("%s rank %d: overlap %g outside [0, min(%g, %g)]",
+					tc.name, rank, bd.SyncOverlap, bd.SyncComm, bd.SyncComp)
+			}
+			overlap += bd.SyncOverlap
+			serialSync += bd.SyncComm + bd.SyncComp
+		}
+		if overlap < tc.minShare*serialSync {
+			t.Fatalf("%s: overlap %g is under %g of the serial sync half %g", tc.name, overlap, tc.minShare, serialSync)
+		}
+		totalOverlap += overlap
+		if serial := serialMakespan(res.Breakdowns); res.ModeledSeconds > serial {
+			t.Fatalf("%s: pipelined makespan %g worse than serial %g",
+				tc.name, res.ModeledSeconds, serial)
 		}
 	}
 	if totalOverlap <= 0 {

@@ -285,8 +285,8 @@ func prepNode(prep *Prep, rank int, entries []sparse.NZ) error {
 	default:
 		// The async scheduler amortizes the per-request AlphaA over each
 		// owner-batch, so the classifier sees the batched per-stripe cost;
-		// under LegacyAsyncGets the estimate is 1 and this is the paper's
-		// per-stripe Classify exactly.
+		// with an estimate of 1 this is the paper's per-stripe Classify
+		// exactly.
 		decision = model.ClassifyBatched(infos, params.W, params.K, params.Coef,
 			asyncBatchEstimate(infos, params))
 	}

@@ -20,12 +20,11 @@ import (
 //
 // The recovery unit numbering is canonical and shared by the doomed rank's
 // checkpoints and the survivors' redistribution: units [0, nAsync) are the
-// async batches of buildAsyncSchedule (or the async stripes, one each, under
-// LegacyAsyncGets), and units [nAsync, nAsync+nPanels) are the sync row
-// panels in plain index order. A DeathRecord's Units field is a cut in this
-// numbering: everything below it was made durable by the last checkpoint,
-// everything at or above it is re-executed by the survivors, striped
-// round-robin over the live ranks in rank order.
+// async batches of buildAsyncSchedule, and units [nAsync, nAsync+nPanels)
+// are the sync row panels in plain index order. A DeathRecord's Units field
+// is a cut in this numbering: everything below it was made durable by the
+// last checkpoint, everything at or above it is re-executed by the
+// survivors, striped round-robin over the live ranks in rank order.
 
 // defaultCheckpointCadence sets the automatic checkpoint interval to this
 // many checkpoint write costs, bounding checkpoint overhead to roughly
@@ -179,13 +178,8 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matri
 		return err
 	}
 
-	legacy := params.LegacyAsyncGets
-	var batches []asyncBatch
-	nAsync := np.Async.NumStripes()
-	if !legacy {
-		batches = buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
-		nAsync = len(batches)
-	}
+	batches := buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
+	nAsync := len(batches)
 	total := nAsync + np.Sync.NumPanels()
 
 	// Fresh, unpooled scratch and no row cache: the charge sequence — which
@@ -201,12 +195,9 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matri
 			return die()
 		}
 		var err error
-		switch {
-		case u < nAsync && legacy:
-			err = processAsyncStripe(prep, b, r, r, np, sink, aws, u, opts.SkipCompute, smp)
-		case u < nAsync:
+		if u < nAsync {
 			err = processAsyncBatch(prep, b, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
-		default:
+		} else {
 			err = processSyncRowPanel(prep, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
 		}
 		if err != nil {
@@ -349,16 +340,11 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, o
 	k := params.K
 	np := &prep.Nodes[d.Rank]
 	out := nodeBlock(c, np)
-	legacy := params.LegacyAsyncGets
-	var batches []asyncBatch
-	nAsync := np.Async.NumStripes()
-	if !legacy {
-		// buildAsyncSchedule is a pure function of the plan, so every
-		// survivor independently reconstructs the dead rank's batch list —
-		// and the unit numbering its checkpoints used.
-		batches = buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
-		nAsync = len(batches)
-	}
+	// buildAsyncSchedule is a pure function of the plan, so every survivor
+	// independently reconstructs the dead rank's batch list — and the unit
+	// numbering its checkpoints used.
+	batches := buildAsyncSchedule(layout, np, k, params.MaxBatchBytes, nil)
+	nAsync := len(batches)
 	todo := nAsync + np.Sync.NumPanels() - d.Units
 	if todo <= 0 {
 		return 0, 0, nil
@@ -392,12 +378,9 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, o
 	for j := myPos; j < todo; j += len(live) {
 		u := d.Units + j
 		var uerr error
-		switch {
-		case u < nAsync && legacy:
-			uerr = processAsyncStripe(prep, b, r, r, np, sink, aws, u, opts.SkipCompute, smp)
-		case u < nAsync:
+		if u < nAsync {
 			uerr = processAsyncBatch(prep, b, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
-		default:
+		} else {
 			uerr = processSyncRowPanel(prep, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
 		}
 		if uerr != nil {
@@ -408,12 +391,9 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, o
 		}
 		sink.flush(out)
 		pl.done()
-		switch {
-		case u >= nAsync:
+		if u >= nAsync {
 			panels++
-		case legacy:
-			stripes++
-		default:
+		} else {
 			stripes += int64(batches[u].hi - batches[u].lo)
 		}
 	}

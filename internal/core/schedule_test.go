@@ -11,9 +11,8 @@ import (
 	"twoface/internal/sparse"
 )
 
-// forcedPrep preprocesses with a pinned sync/async split so the legacy and
-// batched paths classify identically (the batched classifier otherwise
-// amortizes AlphaA and shifts the split point).
+// forcedPrep preprocesses with a pinned sync/async split, so a test's async
+// workload does not move with the classifier's batch estimate.
 func forcedPrep(t *testing.T, a *sparse.COO, params Params, frac float64) *Prep {
 	t.Helper()
 	params.ForceSplit = &frac
@@ -97,9 +96,9 @@ func expandRegions(regions []cluster.Region, ownerColLo int32, k int) []int32 {
 	return rows
 }
 
-// TestPlanBatchRegionsMatchesPerStripe is the satellite property test: for
-// every batch, the aggregated request must fetch exactly the rows the
-// per-stripe path fetches — same multiset, same fill order — and resolve
+// TestPlanBatchRegionsMatchesPerStripe is the property test: for every
+// batch, the aggregated request must fetch exactly the rows per-stripe
+// coalescing fetches — same multiset, same fill order — and resolve
 // every column to its own row.
 func TestPlanBatchRegionsMatchesPerStripe(t *testing.T) {
 	f := func(seed uint64, gapRaw uint8) bool {
@@ -121,7 +120,7 @@ func TestPlanBatchRegionsMatchesPerStripe(t *testing.T) {
 				// Gather like processAsyncBatch, with no cache (all misses).
 				ws.cols = ws.cols[:0]
 				ws.stripeColPtr = ws.stripeColPtr[:0]
-				var want []int32 // per-stripe path's fetched rows, concatenated
+				var want []int32 // per-stripe coalesced rows, concatenated
 				for s := bt.lo; s < bt.hi; s++ {
 					ws.stripeColPtr = append(ws.stripeColPtr, int32(len(ws.cols)))
 					entries := np.Async.Entries[np.Async.StripePtr[s]:np.Async.StripePtr[s+1]]
@@ -228,16 +227,7 @@ func TestAttachRowCachesLifecycle(t *testing.T) {
 		t.Fatal("mutating B in place must invalidate the caches")
 	}
 
-	// The toggles disable the cache entirely.
-	params.LegacyAsyncGets = true
-	legacyPrep, err := Preprocess(a, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyPrep.attachRowCaches(b) != nil {
-		t.Fatal("LegacyAsyncGets must disable the row cache")
-	}
-	params.LegacyAsyncGets = false
+	// A negative bound disables the cache entirely.
 	params.RowCacheElems = -1
 	offPrep, err := Preprocess(a, params)
 	if err != nil {
@@ -277,54 +267,62 @@ func TestRowCacheRespectsLimit(t *testing.T) {
 	}
 }
 
-// TestExecBatchedMatchesLegacy is the headline equivalence check: with the
-// classification pinned, the batched path must move exactly the bytes the
-// legacy path moves (cold cache), in strictly fewer requests, and produce the
-// same C; a warm second run must then move strictly fewer bytes, again with
-// the same C.
-func TestExecBatchedMatchesLegacy(t *testing.T) {
+// TestExecBatchedMatchesPerStripe is the headline equivalence check: with
+// the classification pinned, a cold batched run must move exactly the rows a
+// one-get-per-stripe schedule would fetch — each async stripe's distinct
+// columns coalesced on their own — in strictly fewer requests and no more
+// regions, and produce the reference C; a warm second run must then move
+// strictly fewer bytes, again with the same C.
+func TestExecBatchedMatchesPerStripe(t *testing.T) {
 	a := randomCOO(320, 320, 9000, 13)
 	b := dense.Random(320, 8, 7)
 	want, _ := a.ToCSR().Mul(b)
 
-	legacyParams := basicParams(4, 8, 8)
-	legacyParams.LegacyAsyncGets = true
-	legacyPrep := forcedPrep(t, a, legacyParams, 0.5)
-	clu, _ := cluster.New(4, cluster.Default())
-	legacy, err := Exec(legacyPrep, b, clu, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
+	prep := forcedPrep(t, a, basicParams(4, 8, 8), 0.5)
+	k := prep.Params.K
+	var oracleRows, oracleRegions, oracleStripes int64
+	for ni := range prep.Nodes {
+		np := &prep.Nodes[ni]
+		for s := 0; s < np.Async.NumStripes(); s++ {
+			entries := np.Async.Entries[np.Async.StripePtr[s]:np.Async.StripePtr[s+1]]
+			if len(entries) == 0 {
+				continue
+			}
+			owner := prep.Layout.StripeOwner(np.Async.StripeIDs[s])
+			ownerColLo := int32(prep.Layout.ColBlock(owner).Lo)
+			regs, _, fetched := coalesceRegions(uniqueCols(entries), prep.Params.MaxCoalesceGap, ownerColLo, k)
+			oracleRows += fetched
+			oracleRegions += int64(len(regs))
+			oracleStripes++
+		}
 	}
-	lt := legacy.TotalTransfer
+	if oracleStripes == 0 {
+		t.Fatal("test workload has no async stripes; widen it")
+	}
 
-	batchedPrep := forcedPrep(t, a, basicParams(4, 8, 8), 0.5)
-	cold, err := Exec(batchedPrep, b, clu, ExecOptions{})
+	clu, _ := cluster.New(4, cluster.Default())
+	cold, err := Exec(prep, b, clu, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct := cold.TotalTransfer
-
-	if !legacy.C.AlmostEqual(want, 1e-9) || !cold.C.AlmostEqual(want, 1e-9) {
-		t.Fatal("a path diverged from the reference kernel")
+	if !cold.C.AlmostEqual(want, 1e-9) {
+		t.Fatal("cold run diverged from the reference kernel")
 	}
-	if lt.OneSidedGets == 0 {
-		t.Fatal("test workload has no async stripes; widen it")
+	if ct.OneSidedBytes != oracleRows*int64(k)*8 {
+		t.Fatalf("cold batched bytes %d != per-stripe bytes %d (fetch sets must be identical)", ct.OneSidedBytes, oracleRows*int64(k)*8)
 	}
-	if ct.OneSidedBytes != lt.OneSidedBytes {
-		t.Fatalf("cold batched bytes %d != legacy bytes %d (fetch sets must be identical)", ct.OneSidedBytes, lt.OneSidedBytes)
+	if ct.OneSidedGets >= oracleStripes {
+		t.Fatalf("batched gets %d not fewer than %d non-empty async stripes", ct.OneSidedGets, oracleStripes)
 	}
-	if ct.OneSidedGets >= lt.OneSidedGets {
-		t.Fatalf("batched gets %d not fewer than legacy %d", ct.OneSidedGets, lt.OneSidedGets)
+	if ct.OneSidedMsgs > oracleRegions {
+		t.Fatalf("batched regions %d exceed per-stripe %d", ct.OneSidedMsgs, oracleRegions)
 	}
-	if ct.OneSidedMsgs > lt.OneSidedMsgs {
-		t.Fatalf("batched regions %d exceed legacy %d", ct.OneSidedMsgs, lt.OneSidedMsgs)
-	}
-	// Legacy accounting: one get per async stripe fetch.
 	if cold.RowCache.Hits != 0 {
 		t.Fatalf("cold run had %d cache hits", cold.RowCache.Hits)
 	}
 
-	warm, err := Exec(batchedPrep, b, clu, ExecOptions{})
+	warm, err := Exec(prep, b, clu, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +336,7 @@ func TestExecBatchedMatchesLegacy(t *testing.T) {
 	if wt.OneSidedBytes >= ct.OneSidedBytes {
 		t.Fatalf("warm bytes %d not below cold %d", wt.OneSidedBytes, ct.OneSidedBytes)
 	}
-	if warm.RowCache.SavedBytes != warm.RowCache.Hits*8*int64(batchedPrep.Params.K) {
+	if warm.RowCache.SavedBytes != warm.RowCache.Hits*8*int64(k) {
 		t.Fatalf("SavedBytes %d inconsistent with %d hits", warm.RowCache.SavedBytes, warm.RowCache.Hits)
 	}
 }
@@ -350,11 +348,6 @@ func TestAsyncBatchEstimate(t *testing.T) {
 	}
 	mk := func(rows int64) []model.StripeInfo {
 		return []model.StripeInfo{{NNZ: 10, RowsNeeded: rows}}
-	}
-	legacy := params
-	legacy.LegacyAsyncGets = true
-	if got := asyncBatchEstimate(mk(100), legacy); got != 1 {
-		t.Fatalf("legacy estimate = %v, want 1", got)
 	}
 	if got := asyncBatchEstimate(nil, params); got != 1 {
 		t.Fatalf("empty estimate = %v, want 1", got)

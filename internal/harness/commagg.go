@@ -6,21 +6,19 @@ import (
 
 	"twoface/internal/cluster"
 	"twoface/internal/core"
-	"twoface/internal/dense"
 	"twoface/internal/gen"
 )
 
 // CommAggRow measures, for one registry matrix, what the owner-batched
-// one-sided path and the cross-run row cache buy over the legacy
-// one-get-per-stripe accounting. All byte/request numbers come from the
-// cluster's honest transfer counters, not the cost model.
+// one-sided path and the cross-run row cache buy over one request per async
+// stripe. All byte/request numbers come from the cluster's honest transfer
+// counters, not the cost model.
 type CommAggRow struct {
 	Matrix string `json:"matrix"`
 
-	// Legacy path: one GetIndexed per async stripe, no cache.
-	LegacyGets    int64 `json:"legacy_gets"`
-	LegacyRegions int64 `json:"legacy_regions"`
-	LegacyBytes   int64 `json:"legacy_bytes"`
+	// PerStripeGets is the plan's async stripe count: the requests a
+	// one-get-per-stripe schedule would issue for the same fetch sets.
+	PerStripeGets int64 `json:"per_stripe_gets"`
 
 	// Batched path, first (cold-cache) run.
 	BatchedGets    int64 `json:"batched_gets"`
@@ -36,35 +34,33 @@ type CommAggRow struct {
 	CacheMisses    int64   `json:"cache_misses"`
 	CacheHitRate   float64 `json:"cache_hit_rate"`
 	SavedBytes     int64   `json:"saved_bytes"`
-	GetReduction   float64 `json:"get_reduction"`   // LegacyGets / BatchedGets
+	GetReduction   float64 `json:"get_reduction"`   // PerStripeGets / BatchedGets
 	WarmByteRatio  float64 `json:"warm_byte_ratio"` // WarmBytes / ColdBytes
-	MaxRelDiff     float64 `json:"max_rel_diff"`    // batched C vs legacy C
+	MaxRelDiff     float64 `json:"max_rel_diff"`    // cold C vs the CSR reference
 	ResultsAgree   bool    `json:"results_agree"`   // MaxRelDiff <= 1e-9
-	ModeledLegacy  float64 `json:"modeled_legacy_seconds"`
 	ModeledBatched float64 `json:"modeled_batched_seconds"`
 
-	// Overlap comparison: a third run on the same plan, cluster, and (warm)
-	// cache with the pipelined sync path off — DisableOverlap, the seed's
-	// serial accounting — against the warm pipelined run. The pipeline
-	// changes only when panels start, not what moves or what is charged per
-	// category, so the serial C matches and OverlapGain = ModeledSerial /
-	// ModeledPipelined >= 1 by construction (strictly > 1 wherever sync
-	// comm and sync compute coexist).
-	ModeledPipelined float64 `json:"modeled_pipelined_seconds"` // warm run, overlap on
-	ModeledSerial    float64 `json:"modeled_serial_seconds"`    // warm run, overlap off
+	// Overlap: the warm run's makespan against the serialized one derived
+	// from the same run's ledgers. Every category is charged identically
+	// whether or not multicasts overlap panel compute, so the serial
+	// makespan is max over ranks of NodeTime with SyncOverlap zeroed, and
+	// OverlapGain = ModeledSerial / ModeledPipelined >= 1 by construction
+	// (strictly > 1 wherever sync comm and sync compute coexist).
+	ModeledPipelined float64 `json:"modeled_pipelined_seconds"` // warm run
+	ModeledSerial    float64 `json:"modeled_serial_seconds"`    // warm run, overlap credit removed
 	OverlapSeconds   float64 `json:"overlap_seconds"`           // cluster-wide SyncOverlap sum
 	OverlapGain      float64 `json:"overlap_gain"`              // ModeledSerial / ModeledPipelined
 }
 
-// CommAggregation runs Two-Face on every registry matrix three ways — legacy
-// one-sided accounting, batched cold-cache, batched warm-cache — and reports
-// the request/byte deltas. This is the headline evidence for the aggregation
-// scheduler: same fetched rows, a fraction of the requests, and repeat runs
-// served partly from the cache.
+// CommAggregation runs Two-Face on every registry matrix twice on one plan —
+// cold cache, then warm cache — and reports the request/byte deltas against
+// a one-get-per-stripe schedule. This is the headline evidence for the
+// aggregation scheduler: same fetched rows, a fraction of the requests, and
+// repeat runs served partly from the cache.
 func (c Config) CommAggregation(k int) ([]CommAggRow, *Table, error) {
 	cc := c.normalize()
 	rows := make([]CommAggRow, 0, len(gen.Specs()))
-	cols := []string{"legacy gets", "batched gets", "get redux", "warm bytes/cold", "cache hit%", "overlap gain"}
+	cols := []string{"per-stripe gets", "batched gets", "get redux", "warm bytes/cold", "cache hit%", "overlap gain"}
 	t := NewTable(fmt.Sprintf("Extension: one-sided aggregation and row cache, K=%d, p=%d", k, cc.P),
 		MatrixNames(), cols)
 	for i, s := range gen.Specs() {
@@ -75,39 +71,32 @@ func (c Config) CommAggregation(k int) ([]CommAggRow, *Table, error) {
 		}
 		row.Matrix = s.Short
 		rows = append(rows, row)
-		t.Set(i, 0, float64(row.LegacyGets), "%.0f")
+		t.Set(i, 0, float64(row.PerStripeGets), "%.0f")
 		t.Set(i, 1, float64(row.BatchedGets), "%.0f")
 		t.Set(i, 2, row.GetReduction, "%.2fx")
 		t.Set(i, 3, row.WarmByteRatio, "%.3f")
 		t.Set(i, 4, 100*row.CacheHitRate, "%.0f%%")
 		t.Set(i, 5, row.OverlapGain, "%.3fx")
 	}
-	t.Note = "Legacy issues one one-sided get per async stripe; the batched path aggregates consecutive same-owner stripes into single requests (get redux = legacy/batched) and a per-rank row cache serves repeat runs (warm bytes/cold < 1). Overlap gain is the serial-sync makespan over the pipelined one (multicasts overlapped with panel compute), never below 1x."
+	t.Note = "Per-stripe gets is the plan's async stripe count, the requests of a one-get-per-stripe schedule; the batched path aggregates consecutive same-owner stripes into single requests (get redux = per-stripe/batched) and a per-rank row cache serves repeat runs (warm bytes/cold < 1). Overlap gain is the serial-sync makespan over the pipelined one (multicasts overlapped with panel compute), never below 1x."
 	return rows, t, nil
 }
 
-// commAggRow measures one matrix. Arithmetic stays on so the legacy and
-// batched results can be compared element-wise.
+// commAggRow measures one matrix. Arithmetic stays on so the cold result can
+// be checked element-wise against the CSR reference.
 func (c Config) commAggRow(w *Workload, k int) (CommAggRow, error) {
 	cc := c.normalize()
 	var row CommAggRow
 	b := w.B(k)
 
-	legacyRes, err := cc.execTwoFace(w, k, b, true)
-	if err != nil {
-		return row, err
-	}
-	lt := legacyRes.TotalTransfer
-	row.LegacyGets, row.LegacyRegions, row.LegacyBytes = lt.OneSidedGets, lt.OneSidedMsgs, lt.OneSidedBytes
-	row.ModeledLegacy = legacyRes.ModeledSeconds
-
 	// One prep, one cluster, two runs: the first is cold, the second hits
 	// the row cache (per-run counters reset at each Exec entry).
-	params := cc.twoFaceParams(w, k)
+	params := core.Params{P: cc.P, K: k, W: w.W, Coef: cc.Coef(), MemBudgetElems: cc.MemBudget()}
 	prep, err := core.Preprocess(w.A, params)
 	if err != nil {
 		return row, err
 	}
+	row.PerStripeGets = prep.Stats.AsyncStripes
 	clu, err := cluster.New(cc.P, cc.Net())
 	if err != nil {
 		return row, err
@@ -131,27 +120,19 @@ func (c Config) commAggRow(w *Workload, k int) (CommAggRow, error) {
 	row.CacheHitRate = warm.RowCache.HitRate()
 	row.SavedBytes = warm.RowCache.SavedBytes
 
-	// Overlap A/B: a second warm run with the pipelined sync path disabled.
-	// Same plan, cluster, and cache state, so the only modeled difference is
-	// the SyncOverlap credit.
-	serialOpts := opts
-	serialOpts.DisableOverlap = true
-	serial, err := core.Exec(prep, b, clu, serialOpts)
-	if err != nil {
-		return row, err
-	}
 	row.ModeledPipelined = warm.ModeledSeconds
-	row.ModeledSerial = serial.ModeledSeconds
 	for _, bd := range warm.Breakdowns {
 		row.OverlapSeconds += bd.SyncOverlap
+		bd.SyncOverlap = 0
+		row.ModeledSerial = math.Max(row.ModeledSerial, bd.NodeTime())
 	}
 	if row.ModeledPipelined > 0 {
 		row.OverlapGain = row.ModeledSerial / row.ModeledPipelined
 	}
 
 	if row.BatchedGets > 0 {
-		row.GetReduction = float64(row.LegacyGets) / float64(row.BatchedGets)
-	} else if row.LegacyGets == 0 {
+		row.GetReduction = float64(row.PerStripeGets) / float64(row.BatchedGets)
+	} else if row.PerStripeGets == 0 {
 		row.GetReduction = 1
 	}
 	if row.ColdBytes > 0 {
@@ -159,36 +140,13 @@ func (c Config) commAggRow(w *Workload, k int) (CommAggRow, error) {
 	} else {
 		row.WarmByteRatio = 1
 	}
-	row.MaxRelDiff = maxRelDiff(legacyRes.C.Data, cold.C.Data)
+	want, err := w.A.ToCSR().Mul(b)
+	if err != nil {
+		return row, err
+	}
+	row.MaxRelDiff = maxRelDiff(want.Data, cold.C.Data)
 	row.ResultsAgree = row.MaxRelDiff <= 1e-9
 	return row, nil
-}
-
-// twoFaceParams builds the Two-Face parameters the harness uses everywhere.
-func (c Config) twoFaceParams(w *Workload, k int) core.Params {
-	cc := c.normalize()
-	return core.Params{
-		P: cc.P, K: k, W: w.W,
-		Coef:           cc.Coef(),
-		MemBudgetElems: cc.MemBudget(),
-	}
-}
-
-// execTwoFace preps and runs Two-Face once with real arithmetic, on a fresh
-// cluster, in legacy or batched one-sided mode.
-func (c Config) execTwoFace(w *Workload, k int, b *dense.Matrix, legacy bool) (*core.Result, error) {
-	cc := c.normalize()
-	params := cc.twoFaceParams(w, k)
-	params.LegacyAsyncGets = legacy
-	prep, err := core.Preprocess(w.A, params)
-	if err != nil {
-		return nil, err
-	}
-	clu, err := cluster.New(cc.P, cc.Net())
-	if err != nil {
-		return nil, err
-	}
-	return core.Exec(prep, b, clu, core.ExecOptions{AsyncWorkers: cc.AsyncWorkers, SyncWorkers: cc.Workers})
 }
 
 // maxRelDiff returns the maximum per-element relative difference.

@@ -351,12 +351,15 @@ func TestCommAggregationSmoke(t *testing.T) {
 	}
 	for _, r := range rows {
 		if !r.ResultsAgree {
-			t.Fatalf("%s: batched C diverged from legacy (max rel diff %.2g)", r.Matrix, r.MaxRelDiff)
+			t.Fatalf("%s: batched C diverged from the reference (max rel diff %.2g)", r.Matrix, r.MaxRelDiff)
 		}
-		if r.BatchedGets > r.LegacyGets {
-			t.Fatalf("%s: batching increased requests (%d > %d)", r.Matrix, r.BatchedGets, r.LegacyGets)
+		if r.BatchedGets > r.PerStripeGets {
+			t.Fatalf("%s: batching increased requests (%d > %d)", r.Matrix, r.BatchedGets, r.PerStripeGets)
 		}
-		if r.LegacyGets > 0 && r.WarmBytes > r.ColdBytes {
+		if r.OverlapGain < 1 {
+			t.Fatalf("%s: overlap gain %v below 1", r.Matrix, r.OverlapGain)
+		}
+		if r.PerStripeGets > 0 && r.WarmBytes > r.ColdBytes {
 			t.Fatalf("%s: warm run moved more bytes than cold (%d > %d)", r.Matrix, r.WarmBytes, r.ColdBytes)
 		}
 	}

@@ -96,10 +96,11 @@ fi
 to_json "$RAW" > "$OUT"
 echo "wrote $OUT"
 
-# Communication-aggregation deltas: per registry matrix, one-sided request
-# and byte counts for the legacy, batched-cold, and batched-warm paths, plus
-# the sync-pipelining comparison (modeled_serial_seconds vs
-# modeled_pipelined_seconds and the overlap_gain ratio — the serialized
+# Communication-aggregation deltas: per registry matrix, the per-stripe
+# request count (the plan's async stripes), one-sided request and byte
+# counts for the batched cold and warm runs, plus the sync-pipelining
+# comparison (modeled_serial_seconds, derived from the warm run's ledgers,
+# vs modeled_pipelined_seconds and the overlap_gain ratio — the serialized
 # accounting is never faster). Compare runs with  git diff BENCH_comm.json
 COMM_OUT="BENCH_comm.json"
 go run ./cmd/twoface-bench -exp comm -scale 0.25 -comm-out "$COMM_OUT" >/dev/null
