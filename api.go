@@ -101,7 +101,7 @@ type Options struct {
 	// fence at the next barrier and re-execute the dead rank's unfinished
 	// work from its last virtual-time checkpoint, and Multiply still
 	// completes with the full C (see DESIGN.md section 12). Only the
-	// Two-Face executor recovers; baselines and SDDMM stay fail-clean.
+	// Two-Face SpMM recovers; baselines and SDDMM stay fail-clean.
 	Recover bool
 	// CheckpointInterval is the virtual-time cadence (seconds) at which each
 	// rank checkpoints its C panel and progress cursor when Recover is set.

@@ -244,9 +244,10 @@ type Breakdown struct {
 	// above are charged identically whether or not the executor pipelines;
 	// the overlap credit is what turns the serial sum SyncComm + SyncComp
 	// into the pipelined sync-half makespan. It never exceeds
-	// min(SyncComm, SyncComp) and is zero for the SDDMM executor and for
-	// every baseline, which keep the serial accounting; zeroing it on any
-	// ledger yields that ledger's serial makespan exactly.
+	// min(SyncComm, SyncComp) and is zero for every baseline, which keep
+	// the serial accounting (SDDMM shares the Two-Face executor and earns
+	// the same credit as SpMM); zeroing it on any ledger yields that
+	// ledger's serial makespan exactly.
 	SyncOverlap float64
 	// Checkpoint is virtual time spent writing crash-recovery checkpoints
 	// of the rank's C accumulator state to node-local storage. Serial with

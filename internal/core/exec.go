@@ -10,7 +10,6 @@ import (
 
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
-	"twoface/internal/kernels"
 	"twoface/internal/obs"
 )
 
@@ -208,16 +207,23 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 	caches := prep.attachRowCaches(b)
 	rec := &recoveryCoordinator{}
 	start := time.Now()
+	kern := spmmKernel{k: params.K}
 	runErr := clu.Run(func(r *cluster.Rank) error {
-		return execNode(prep, b, r, c, opts, caches, rec)
+		return execNode(prep, b, r, c, kern, opts, caches, rec)
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
-	wall := time.Since(start)
+	res := finishRun(clu, caches, time.Since(start))
+	res.C = c
+	return res, nil
+}
 
+// finishRun is the end-of-run bookkeeping Exec and ExecSDDMM share: the
+// ledgers, the row caches' traffic, and FillObservability's counters,
+// gauges, and run-completion log.
+func finishRun(clu *cluster.Cluster, caches []*rowCache, wall time.Duration) *Result {
 	res := &Result{
-		C:              c,
 		Breakdowns:     clu.Breakdowns(),
 		ModeledSeconds: clu.TotalTime(),
 		Wall:           wall,
@@ -231,12 +237,20 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 		rc.mu.Unlock()
 	}
 	res.FillObservability(clu)
-	return res, nil
+	return res
 }
 
-// execNode is Algorithm 1 for one node. A rank whose fault plan dooms it to
-// crash runs the serialized checkpointing variant instead, so the set of
-// units its last checkpoint covers is deterministic (see execNodeDoomed).
+// execNode is Algorithm 1 for one node, running kern's arithmetic over the
+// dense operand b (B for SpMM, Y for SDDMM, exposed under the window name
+// "B" either way). It owns all communication and scheduling; kern only
+// computes each unit.
+//
+// c is SpMM's output. SDDMM passes nil: its kernel writes its own value
+// slots, and it stays fail-clean — no checkpoints, no doomed variant, no
+// recovery phase (DESIGN.md section 12). For SpMM, a rank whose fault plan
+// dooms it to crash runs the serialized checkpointing variant instead, so
+// the set of units its last checkpoint covers is deterministic (see
+// execNodeDoomed).
 //
 // The rank owns its row block of C and assembles it without atomics: sync
 // panels add their rows straight into the block (every row lives in exactly
@@ -245,8 +259,8 @@ func Exec(prep *Prep, b *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (
 // into the block in worker-index order. Every element of C therefore sums
 // in a pinned order — sync row, then async workers 0, 1, ... — and with one
 // async worker the result is bit-identical from run to run.
-func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
-	if r.RecoveryEnabled() && !math.IsInf(r.CrashTime(), 1) {
+func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, kern kernel, opts ExecOptions, caches []*rowCache, rec *recoveryCoordinator) error {
+	if c != nil && r.RecoveryEnabled() && !math.IsInf(r.CrashTime(), 1) {
 		return execNodeDoomed(prep, b, r, c, opts, rec)
 	}
 	layout, params := prep.Layout, prep.Params
@@ -272,7 +286,10 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opt
 	}
 	r.ChargeOp(cluster.Other, "setup", net.SetupBase+net.SetupPerStripe*float64(len(np.RecvStripes)+np.Async.NumStripes()+rooted))
 
-	blk := nodeBlock(c, np)
+	var blk *rowBlock
+	if c != nil {
+		blk = nodeBlock(c, np)
+	}
 	recvBufs := make([][]float64, layout.NumStripes())
 	metricPoolRecvGet.Inc()
 	arena := recvArenaPool.Get().(*recvArena)
@@ -331,7 +348,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opt
 					metricQueueDepth.Observe(float64(nWork - n))
 				}
 				charges = charges[:0]
-				if err := processAsyncBatch(prep, b, r, &charges, np, out, ws, batches[n], cache, opts.SkipCompute, opts.sampling()); err != nil {
+				if err := processAsyncBatch(prep, kern, r, &charges, np, out, ws, batches[n], cache, opts.SkipCompute, opts.sampling()); err != nil {
 					asyncMu.Lock()
 					if asyncErr == nil {
 						asyncErr = err
@@ -390,7 +407,7 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opt
 				}
 				metricSyncPanels.Inc()
 				charges = charges[:0]
-				if err := processSyncRowPanel(prep, r, &charges, np, blk, resolver, ws, pi, opts.SkipCompute, opts.sampling()); err != nil {
+				if err := processSyncRowPanel(prep, kern, r, &charges, np, blk, resolver, ws, pi, opts.SkipCompute, opts.sampling()); err != nil {
 					setPanelErr(err)
 					return
 				}
@@ -410,9 +427,6 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opt
 	if panelErr != nil {
 		return panelErr
 	}
-	for _, ws := range wss {
-		blk.merge(&ws.run)
-	}
 	// Panel unit n is the n-th panel in deps.order.
 	panelCost := make([]float64, nPanels)
 	for n, pi := range deps.order {
@@ -420,6 +434,13 @@ func execNode(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, opt
 	}
 	if ov := pipelineOverlap(pl, deps, panelCost); ov > 0 {
 		r.ChargeOp(cluster.Overlap, "sync.overlap", ov)
+	}
+	if c == nil {
+		r.Instant("epilogue.flush")
+		return r.Barrier()
+	}
+	for _, ws := range wss {
+		blk.merge(&ws.run)
 	}
 	// Checkpoint accounting for a rank that survives to the end: its cadenced
 	// snapshots happened alongside the run, charged here as one lump since
@@ -593,11 +614,9 @@ func makeRowResolver(prep *Prep, b *dense.Matrix, rank int, recvBufs [][]float64
 	}
 }
 
-// processSyncRowPanel is Algorithm 2: multiply one row panel with a
-// thread-local accumulation buffer, flushing to out once per output row. Each of the panel's distinct columns is resolved to its dense
-// B row once, into the workspace's flat slice table; the per-nonzero loop is
-// then a table lookup plus a shared AXPY kernel, with no closure calls.
-func processSyncRowPanel(prep *Prep, r *cluster.Rank, ch charger, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) error {
+// processSyncRowPanel runs sync row panel n through kern (Algorithm 2 for
+// SpMM) and charges its SyncComp time.
+func processSyncRowPanel(prep *Prep, kern kernel, r *cluster.Rank, ch charger, np *NodePart, out accumSink, resolve rowResolver, ws *panelScratch, n int, skipCompute bool, smp sampling) error {
 	params := prep.Params
 	net := r.Net()
 	k := params.K
@@ -607,44 +626,9 @@ func processSyncRowPanel(prep *Prep, r *cluster.Rank, ch charger, np *NodePart, 
 	}
 	if !skipCompute {
 		ws.begin(int(prep.Layout.NumCols), k)
-		acc := ws.acc
-		clear(acc)
-		prevRow := panel[0].Row
-		// Consecutive nonzeros of a row pair up through the dual-source tiled
-		// kernel, keeping the accumulator tile in registers across both
-		// multiply-adds; an unpaired leftover (odd count, or a gap forced by
-		// sampling) flushes through plain Axpy. Axpy2 rounds exactly like the
-		// two sequential Axpys it replaces, so the panel result is unchanged.
-		var pendVal float64
-		var pendRow []float64
-		for _, e := range panel {
-			if e.Row != prevRow {
-				if pendRow != nil {
-					kernels.Axpy(pendVal, pendRow, acc)
-					pendRow = nil
-				}
-				out.addRow(prevRow, acc)
-				clear(acc)
-				prevRow = e.Row
-			}
-			if smp.masked(np.RowLo+e.Row, e.Col) {
-				continue
-			}
-			brow, err := ws.resolved(e.Col, resolve)
-			if err != nil {
-				return err
-			}
-			if pendRow == nil {
-				pendVal, pendRow = e.Val, brow
-				continue
-			}
-			kernels.Axpy2(pendVal, pendRow, e.Val, brow, acc)
-			pendRow = nil
+		if err := kern.panel(np, n, out, resolve, ws, smp); err != nil {
+			return err
 		}
-		if pendRow != nil {
-			kernels.Axpy(pendVal, pendRow, acc)
-		}
-		out.addRow(prevRow, acc)
 	}
 	kept := float64(len(panel)) * smp.computeScale()
 	cost := net.SyncComputeCost(int64(kept), k, params.ModelSyncThreads)

@@ -60,7 +60,8 @@ type Params struct {
 	// default, 1 Mi elements (8 MiB) per rank; negative disables the cache.
 	// The cache keys on the identity of B's backing array and is invalidated
 	// whenever it changes; callers that mutate B in place between runs must
-	// disable the cache (see DESIGN.md section 8).
+	// disable the cache (see DESIGN.md section 8). SDDMM's Y shares the
+	// cache and the same caveat.
 	RowCacheElems int64
 
 	// ModelSyncThreads and ModelAsyncCompThreads are the per-node thread

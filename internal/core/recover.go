@@ -188,6 +188,7 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matri
 	pws := &panelScratch{}
 	defer pws.release()
 	resolver := makeRowResolver(prep, b, r.ID, recvBufs, k)
+	kern := spmmKernel{k: k}
 	smp := opts.sampling()
 	for u := 0; u < total; u++ {
 		if r.Breakdown().NodeTime() >= crashAt {
@@ -196,9 +197,9 @@ func execNodeDoomed(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matri
 		}
 		var err error
 		if u < nAsync {
-			err = processAsyncBatch(prep, b, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
+			err = processAsyncBatch(prep, kern, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
 		} else {
-			err = processSyncRowPanel(prep, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
+			err = processSyncRowPanel(prep, kern, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
 		}
 		if err != nil {
 			if crashed(err) {
@@ -374,14 +375,15 @@ func recoverOne(prep *Prep, b *dense.Matrix, r *cluster.Rank, c *dense.Matrix, o
 	aws := &asyncScratch{}
 	pws := &panelScratch{}
 	defer pws.release()
+	kern := spmmKernel{k: k}
 	smp := opts.sampling()
 	for j := myPos; j < todo; j += len(live) {
 		u := d.Units + j
 		var uerr error
 		if u < nAsync {
-			uerr = processAsyncBatch(prep, b, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
+			uerr = processAsyncBatch(prep, kern, r, r, np, sink, aws, batches[u], nil, opts.SkipCompute, smp)
 		} else {
-			uerr = processSyncRowPanel(prep, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
+			uerr = processSyncRowPanel(prep, kern, r, r, np, sink, resolver, pws, u-nAsync, opts.SkipCompute, smp)
 		}
 		if uerr != nil {
 			return abort(uerr)

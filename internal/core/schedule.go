@@ -293,12 +293,11 @@ func fingerprint(data []float64) uint64 {
 
 // processAsyncBatch is Algorithm 3 for one owner-batch of async stripes:
 // gather each stripe's distinct columns, serve cache hits locally, coalesce
-// the misses into one aggregated GetIndexed, then accumulate each stripe's
-// nonzeros into a stripe-local dense buffer flushed into out once per
-// touched row. Modeled cost: one OneSidedBatchCost charge for the whole
-// request (AlphaA once), one AsyncComputeCost per stripe, and — when the
-// retry budget runs out — a SyncFallbackPull re-fetch of the whole batch.
-func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, ch charger, np *NodePart, out accumSink, ws *asyncScratch, bt asyncBatch, cache *rowCache, skipCompute bool, smp sampling) error {
+// the misses into one aggregated GetIndexed, then hand each stripe to kern.
+// Modeled cost: one OneSidedBatchCost charge for the whole request (AlphaA
+// once), one AsyncComputeCost per stripe, and — when the retry budget runs
+// out — a SyncFallbackPull re-fetch of the whole batch.
+func processAsyncBatch(prep *Prep, kern kernel, r *cluster.Rank, ch charger, np *NodePart, out accumSink, ws *asyncScratch, bt asyncBatch, cache *rowCache, skipCompute bool, smp sampling) error {
 	layout, params := prep.Layout, prep.Params
 	net := r.Net()
 	k := params.K
@@ -405,45 +404,18 @@ func processAsyncBatch(prep *Prep, b *dense.Matrix, r *cluster.Rank, ch charger,
 		cache.mu.Unlock()
 	}
 
-	// Per-stripe accumulation: stripe-local buffer, one flush into out per
-	// touched row, per-stripe AsyncComp charge. The batch's communication cost is spread evenly across its
-	// stripes for the stripe-seconds histogram.
+	// Per-stripe compute and AsyncComp charge. The batch's communication
+	// cost is spread evenly across its stripes for the stripe-seconds
+	// histogram.
 	commShare := commCost / float64(bt.hi-bt.lo)
 	for si := bt.lo; si < bt.hi; si++ {
 		entries := np.Async.Entries[np.Async.StripePtr[si]:np.Async.StripePtr[si+1]]
 		if len(entries) == 0 {
 			continue
 		}
-		clo := ws.stripeColPtr[si-bt.lo]
-		cols := ws.cols[clo:ws.stripeColPtr[si-bt.lo+1]]
-		rowRef := ws.rowRef[clo:]
 		if !skipCompute {
-			acc := &ws.acc
-			acc.Begin(int(np.RowHi-np.RowLo), k)
-			ci := 0
-			for i := 0; i < len(entries); {
-				col := entries[i].Col
-				j := i + 1
-				for j < len(entries) && entries[j].Col == col {
-					j++
-				}
-				for cols[ci] != col {
-					ci++
-				}
-				var brow []float64
-				if ref := rowRef[ci]; ref >= 0 {
-					off := int(ref) * k
-					brow = drows[off : off+k]
-				} else {
-					off := int(^ref) * k
-					brow = ws.crows[off : off+k]
-				}
-				accumulateRun(acc, entries[i:j], brow, np.RowLo, smp)
-				i = j
-			}
-			for i, row := range acc.Touched() {
-				out.addRow(row, acc.Vals(i))
-			}
+			clo, chi := ws.stripeColPtr[si-bt.lo], ws.stripeColPtr[si-bt.lo+1]
+			kern.stripe(np, si, ws.cols[clo:chi], ws.rowRef[clo:chi], out, ws, smp)
 		}
 		kept := float64(len(entries)) * smp.computeScale()
 		compCost := net.AsyncComputeCost(int64(kept), k, params.ModelAsyncCompThreads, 1)

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"twoface/internal/cluster"
@@ -19,10 +16,13 @@ import (
 // partitioning, X rows are node-local (indexed by A rows, like C in SpMM)
 // and Y rows follow A's column structure (indexed like B in SpMM), so the
 // communication problem — which Y rows to move, collectively or one-sidedly
-// — is *identical* to SpMM's, and an existing SpMM Prep is reused verbatim:
-// synchronous stripes multicast whole dense stripes of Y, asynchronous
-// stripes fetch individual Y rows. Unlike SpMM, output entries are
-// independent, so no atomics are needed.
+// — is *identical* to SpMM's: an existing SpMM Prep is reused verbatim, and
+// the run goes through the SpMM executor itself (execNode) with only the
+// per-unit arithmetic swapped for sddmmKernel. Y therefore moves exactly as
+// B would — pipelined multicasts, owner-batched gets, the cross-run row
+// cache, degrade-on-exhaustion — and a cold SDDMM charges the same ledgers
+// as a cold Multiply. Every output entry belongs to exactly one work unit,
+// so each lands in its own value slot without locks.
 
 // SDDMMResult is the outcome of one distributed SDDMM.
 type SDDMMResult struct {
@@ -38,7 +38,9 @@ type SDDMMResult struct {
 }
 
 // ExecSDDMM runs distributed SDDMM using an SpMM preprocessing plan. X must
-// be NumRows x K, Y must be NumCols x K with K = prep.Params.K.
+// be NumRows x K, Y must be NumCols x K with K = prep.Params.K. A's own
+// pattern is the sample, so opts.SampleKeep does not apply. SDDMM is
+// fail-clean: a crash aborts the run even on a cluster with recovery on.
 func ExecSDDMM(prep *Prep, x, y *dense.Matrix, clu *cluster.Cluster, opts ExecOptions) (*SDDMMResult, error) {
 	params := prep.Params
 	if x.Rows != int(prep.Layout.NumRows) || x.Cols != params.K {
@@ -51,272 +53,88 @@ func ExecSDDMM(prep *Prep, x, y *dense.Matrix, clu *cluster.Cluster, opts ExecOp
 		return nil, fmt.Errorf("core: cluster has %d nodes, prep expects %d", clu.P(), params.P)
 	}
 	opts = opts.normalize()
+	opts.SampleKeep = 0
 	clu.Reset()
 
-	parts := make([][]sparse.NZ, params.P)
+	caches := prep.attachRowCaches(y)
+	kerns := make([]*sddmmKernel, params.P)
 	start := time.Now()
 	runErr := clu.Run(func(r *cluster.Rank) error {
-		out, err := sddmmNode(prep, x, y, r, opts)
-		if err != nil {
-			return err
+		np := &prep.Nodes[r.ID]
+		kern := &sddmmKernel{x: x, k: params.K}
+		if !opts.SkipCompute {
+			kern.sync = make([]float64, len(np.Sync.Entries))
+			kern.async = make([]float64, len(np.Async.Entries))
 		}
-		parts[r.ID] = out
-		return nil
+		kerns[r.ID] = kern
+		return execNode(prep, y, r, nil, kern, opts, caches, nil)
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
-	wall := time.Since(start)
+	res := finishRun(clu, caches, time.Since(start))
 
 	c := &sparse.COO{NumRows: prep.Layout.NumRows, NumCols: prep.Layout.NumCols}
-	for _, p := range parts {
-		c.Entries = append(c.Entries, p...)
+	if !opts.SkipCompute {
+		for i, kern := range kerns {
+			if kern == nil { // a rank another process executes
+				continue
+			}
+			np := &prep.Nodes[i]
+			c.Entries = appendSampled(c.Entries, np.RowLo, np.Sync.Entries, kern.sync)
+			c.Entries = appendSampled(c.Entries, np.RowLo, np.Async.Entries, kern.async)
+		}
+		c.SortRowMajor()
 	}
-	c.SortRowMajor()
 	return &SDDMMResult{
 		C:              c,
-		Breakdowns:     clu.Breakdowns(),
-		ModeledSeconds: clu.TotalTime(),
-		Wall:           wall,
-		Transfer:       clu.TransferStats(),
-		TotalTransfer:  clu.TotalTransfer(),
+		Breakdowns:     res.Breakdowns,
+		ModeledSeconds: res.ModeledSeconds,
+		Wall:           res.Wall,
+		Transfer:       res.Transfer,
+		TotalTransfer:  res.TotalTransfer,
 	}, nil
 }
 
-// sddmmNode mirrors execNode with the SpMM accumulation replaced by
-// per-entry dot products.
-func sddmmNode(prep *Prep, x, y *dense.Matrix, r *cluster.Rank, opts ExecOptions) ([]sparse.NZ, error) {
-	layout, params := prep.Layout, prep.Params
-	net := r.Net()
-	np := &prep.Nodes[r.ID]
-	k := params.K
-
-	colBlock := layout.ColBlock(r.ID)
-	r.Expose("Y", y.RowRange(colBlock.Lo, colBlock.Hi))
-	if err := r.Barrier(); err != nil {
-		return nil, err
-	}
-
-	rooted := 0
-	lo, hi := layout.NodeStripeRange(r.ID)
-	for sid := lo; sid < hi; sid++ {
-		if len(prep.Dests[sid]) > 0 {
-			rooted++
-		}
-	}
-	r.ChargeOp(cluster.Other, "setup", net.SetupBase+net.SetupPerStripe*float64(len(np.RecvStripes)+np.Async.NumStripes()+rooted))
-
-	out := make([]sparse.NZ, 0, len(np.Sync.Entries)+len(np.Async.Entries))
-	var outMu sync.Mutex
-	emit := func(batch []sparse.NZ) {
-		outMu.Lock()
-		out = append(out, batch...)
-		outMu.Unlock()
-	}
-
-	recvBufs := make([][]float64, layout.NumStripes())
-	syncReady := make(chan error, 1)
-	var wg sync.WaitGroup
-
-	// Thread 0: synchronous dense-stripe transfers of Y (identical plan to
-	// SpMM's transfers of B).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		syncReady <- sddmmSyncTransfers(prep, r, np, recvBufs, k)
-		close(syncReady)
-	}()
-
-	// Async threads: fetch Y rows per stripe, then sample dot products.
-	var asyncErr error
-	var asyncMu sync.Mutex
-	var asyncCursor atomic.Int64
-	nAsync := int64(np.Async.NumStripes())
-	wg.Add(opts.AsyncWorkers)
-	for w := 0; w < opts.AsyncWorkers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				n := asyncCursor.Add(1) - 1
-				if n >= nAsync {
-					return
-				}
-				batch, err := sddmmAsyncStripe(prep, x, r, np, int(n), opts.SkipCompute)
-				if err != nil {
-					asyncMu.Lock()
-					if asyncErr == nil {
-						asyncErr = err
-					}
-					asyncMu.Unlock()
-					return
-				}
-				emit(batch)
-			}
-		}()
-	}
-
-	if err := <-syncReady; err != nil {
-		wg.Wait()
-		return nil, err
-	}
-	resolver := makeSDDMMResolver(prep, y, r.ID, recvBufs, k)
-	var panelCursor atomic.Int64
-	nPanels := int64(np.Sync.NumPanels())
-	var panelWg sync.WaitGroup
-	var panelErr error
-	var panelMu sync.Mutex
-	panelWg.Add(opts.SyncWorkers)
-	for w := 0; w < opts.SyncWorkers; w++ {
-		go func() {
-			defer panelWg.Done()
-			for {
-				n := panelCursor.Add(1) - 1
-				if n >= nPanels {
-					return
-				}
-				batch, err := sddmmSyncPanel(prep, x, r, np, resolver, int(n), opts.SkipCompute)
-				if err != nil {
-					panelMu.Lock()
-					if panelErr == nil {
-						panelErr = err
-					}
-					panelMu.Unlock()
-					return
-				}
-				emit(batch)
-			}
-		}()
-	}
-	panelWg.Wait()
-	wg.Wait()
-	if asyncErr != nil {
-		return nil, asyncErr
-	}
-	if panelErr != nil {
-		return nil, panelErr
-	}
-	if err := r.Barrier(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Row != out[j].Row {
-			return out[i].Row < out[j].Row
-		}
-		return out[i].Col < out[j].Col
-	})
-	return out, nil
+// sddmmKernel is one rank's SDDMM arithmetic: each entry's sampled value
+// Val * dot(X[RowLo+row], yrow), computed with sparse.Dot — the reference
+// kernel's own loop, so values are bit-identical to sparse.COO.SDDMM. sync
+// and async are the value slots aligned with np.Sync.Entries and
+// np.Async.Entries.
+type sddmmKernel struct {
+	x           *dense.Matrix
+	k           int
+	sync, async []float64
 }
 
-func sddmmSyncTransfers(prep *Prep, r *cluster.Rank, np *NodePart, recvBufs [][]float64, k int) error {
-	layout := prep.Layout
-	net := r.Net()
-	lo, hi := layout.NodeStripeRange(r.ID)
-	for sid := lo; sid < hi; sid++ {
-		if n := len(prep.Dests[sid]); n > 0 {
-			elems := int64(layout.StripeWidthOf(sid)) * int64(k)
-			r.ChargeOp(cluster.SyncComm, "multicast.root", net.MulticastCost(elems, n))
-		}
-	}
-	for _, sid := range np.RecvStripes {
-		colLo, colHi := layout.StripeCols(sid)
-		owner := layout.StripeOwner(sid)
-		ownerBlock := layout.ColBlock(owner)
-		elems := int64(colHi-colLo) * int64(k)
-		buf := make([]float64, elems)
-		off := int64(colLo-int32(ownerBlock.Lo)) * int64(k)
-		if _, err := r.MulticastPull(owner, "Y", off, elems, buf); err != nil {
+func (kn *sddmmKernel) panel(np *NodePart, n int, _ accumSink, resolve rowResolver, ws *panelScratch, _ sampling) error {
+	lo := np.Sync.PanelPtr[n]
+	for i, e := range np.Sync.Entries[lo:np.Sync.PanelPtr[n+1]] {
+		yrow, err := ws.resolved(e.Col, resolve)
+		if err != nil {
 			return err
 		}
-		recvBufs[sid] = buf
-		r.ChargeOp(cluster.SyncComm, "multicast.recv", net.MulticastCost(elems, len(prep.Dests[sid])))
+		kn.sync[lo+int64(i)] = e.Val * sparse.Dot(kn.x.Row(int(np.RowLo+e.Row)), yrow)
 	}
 	return nil
 }
 
-func sddmmAsyncStripe(prep *Prep, x *dense.Matrix, r *cluster.Rank, np *NodePart, n int, skipCompute bool) ([]sparse.NZ, error) {
-	layout, params := prep.Layout, prep.Params
-	net := r.Net()
-	k := params.K
-	entries := np.Async.Entries[np.Async.StripePtr[n]:np.Async.StripePtr[n+1]]
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	sid := np.Async.StripeIDs[n]
-	owner := layout.StripeOwner(sid)
-	ownerBlock := layout.ColBlock(owner)
-
-	cols := uniqueCols(entries)
-	regions, bufRow, fetchedRows := coalesceRegions(cols, params.MaxCoalesceGap, int32(ownerBlock.Lo), k)
-	yrows := make([]float64, fetchedRows*int64(k))
-	if _, err := r.GetIndexed(owner, "Y", regions, yrows); err != nil {
-		return nil, err
-	}
-	r.ChargeOp(cluster.AsyncComm, "get.indexed", net.OneSidedCost(len(regions), fetchedRows*int64(k)))
-
-	var out []sparse.NZ
-	if !skipCompute {
-		out = make([]sparse.NZ, len(entries))
-		ci := 0
-		for i, e := range entries {
-			for cols[ci] != e.Col {
-				ci++
-			}
-			yrow := yrows[int(bufRow[ci])*k : (int(bufRow[ci])+1)*k]
-			xrow := x.Row(int(np.RowLo + e.Row))
-			out[i] = sparse.NZ{Row: np.RowLo + e.Row, Col: e.Col, Val: e.Val * dotProduct(xrow, yrow)}
+func (kn *sddmmKernel) stripe(np *NodePart, si int, cols, rowRef []int32, _ accumSink, ws *asyncScratch, _ sampling) {
+	lo := np.Async.StripePtr[si]
+	ci := 0
+	for i, e := range np.Async.Entries[lo:np.Async.StripePtr[si+1]] {
+		for cols[ci] != e.Col {
+			ci++
 		}
-	}
-	r.ChargeOp(cluster.AsyncComp, "compute.async.stripe", net.AsyncComputeCost(int64(len(entries)), k, params.ModelAsyncCompThreads, 1))
-	return out, nil
-}
-
-func sddmmSyncPanel(prep *Prep, x *dense.Matrix, r *cluster.Rank, np *NodePart, resolve rowResolver, n int, skipCompute bool) ([]sparse.NZ, error) {
-	params := prep.Params
-	net := r.Net()
-	k := params.K
-	panel := np.Sync.Entries[np.Sync.PanelPtr[n]:np.Sync.PanelPtr[n+1]]
-	if len(panel) == 0 {
-		return nil, nil
-	}
-	var out []sparse.NZ
-	if !skipCompute {
-		out = make([]sparse.NZ, len(panel))
-		for i, e := range panel {
-			yrow, err := resolve(e.Col)
-			if err != nil {
-				return nil, err
-			}
-			xrow := x.Row(int(np.RowLo + e.Row))
-			out[i] = sparse.NZ{Row: np.RowLo + e.Row, Col: e.Col, Val: e.Val * dotProduct(xrow, yrow)}
-		}
-	}
-	r.ChargeOp(cluster.SyncComp, "compute.sync.panel", net.SyncComputeCost(int64(len(panel)), k, params.ModelSyncThreads))
-	return out, nil
-}
-
-// makeSDDMMResolver is makeRowResolver over Y instead of B.
-func makeSDDMMResolver(prep *Prep, y *dense.Matrix, rank int, recvBufs [][]float64, k int) rowResolver {
-	layout := prep.Layout
-	own := layout.ColBlock(rank)
-	return func(col int32) ([]float64, error) {
-		if own.Contains(int(col)) {
-			return y.Row(int(col)), nil
-		}
-		sid := layout.StripeOfCol(col)
-		buf := recvBufs[sid]
-		if buf == nil {
-			return nil, fmt.Errorf("core: rank %d: dense stripe %d for column %d was never received", rank, sid, col)
-		}
-		colLo, _ := layout.StripeCols(sid)
-		off := int(col-colLo) * k
-		return buf[off : off+k], nil
+		kn.async[lo+int64(i)] = e.Val * sparse.Dot(kn.x.Row(int(np.RowLo+e.Row)), ws.row(rowRef[ci], kn.k))
 	}
 }
 
-func dotProduct(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
+// appendSampled appends a rank's entries, shifted to global rows, with their
+// sampled values.
+func appendSampled(dst []sparse.NZ, rowLo int32, entries []sparse.NZ, vals []float64) []sparse.NZ {
+	for i, e := range entries {
+		dst = append(dst, sparse.NZ{Row: rowLo + e.Row, Col: e.Col, Val: vals[i]})
 	}
-	return s
+	return dst
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"twoface/internal/chaos"
 	"twoface/internal/cluster"
 	"twoface/internal/dense"
+	"twoface/internal/gen"
 	"twoface/internal/sparse"
 )
 
@@ -25,7 +30,9 @@ func sddmmFixture(t *testing.T, rows int32, nnz, k, p int, seed uint64) (*sparse
 	return a, x, y, prep, clu
 }
 
-func sddmmEqual(t *testing.T, got, want *sparse.COO, tol float64) {
+// sddmmEqual requires got to be want, sorted row-major, bit for bit: the
+// distributed kernel computes each entry with the reference's own dot loop.
+func sddmmEqual(t *testing.T, got, want *sparse.COO) {
 	t.Helper()
 	if len(got.Entries) != len(want.Entries) {
 		t.Fatalf("SDDMM entry counts: %d vs %d", len(got.Entries), len(want.Entries))
@@ -36,16 +43,7 @@ func sddmmEqual(t *testing.T, got, want *sparse.COO, tol float64) {
 		if g.Row != w.Row || g.Col != w.Col {
 			t.Fatalf("entry %d coordinates (%d,%d) vs (%d,%d)", i, g.Row, g.Col, w.Row, w.Col)
 		}
-		scale := 1.0
-		if abs := w.Val; abs < 0 {
-			abs = -abs
-			if abs > scale {
-				scale = abs
-			}
-		} else if abs > scale {
-			scale = abs
-		}
-		if d := g.Val - w.Val; d > tol*scale || d < -tol*scale {
+		if math.Float64bits(g.Val) != math.Float64bits(w.Val) {
 			t.Fatalf("entry %d value %v vs %v", i, g.Val, w.Val)
 		}
 	}
@@ -61,7 +59,7 @@ func TestSDDMMMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sddmmEqual(t, res.C, want, 1e-12)
+	sddmmEqual(t, res.C, want)
 	if res.ModeledSeconds <= 0 {
 		t.Fatal("no modeled time")
 	}
@@ -99,7 +97,7 @@ func TestSDDMMProperty(t *testing.T) {
 			if g.Row != w.Row || g.Col != w.Col {
 				return false
 			}
-			if d := g.Val - w.Val; d > 1e-9 || d < -1e-9 {
+			if math.Float64bits(g.Val) != math.Float64bits(w.Val) {
 				return false
 			}
 		}
@@ -154,7 +152,7 @@ func TestSDDMMReusesSpMMPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSD, _ := a.SDDMM(x, y)
-	sddmmEqual(t, sd.C, wantSD, 1e-9)
+	sddmmEqual(t, sd.C, wantSD)
 }
 
 func TestSDDMMSequentialReferenceShapes(t *testing.T) {
@@ -174,4 +172,147 @@ func TestSDDMMSequentialReferenceShapes(t *testing.T) {
 	if _, err := a.SDDMM(x, dense.New(20, 5)); err == nil {
 		t.Fatal("K mismatch should fail")
 	}
+}
+
+// webSDDMM builds the web matrix at scale with matching X and Y (Y doubles
+// as SpMM's B) and returns a constructor for fresh plans over it.
+func webSDDMM(t *testing.T, scale float64, p, k int) (a *sparse.COO, x, y *dense.Matrix, plan func() *Prep) {
+	t.Helper()
+	spec, err := gen.ByName("web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = spec.Build(scale, 1)
+	x = dense.Random(int(a.NumRows), k, 2)
+	y = dense.Random(int(a.NumCols), k, 3)
+	plan = func() *Prep {
+		prep, err := Preprocess(a, Params{P: p, K: k, W: spec.ScaledWidth(scale)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prep
+	}
+	return a, x, y, plan
+}
+
+func newTestCluster(t *testing.T, p int, plan *chaos.Plan) *cluster.Cluster {
+	t.Helper()
+	clu, err := cluster.New(p, cluster.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan != nil {
+		inj, err := plan.Injector(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clu.SetFaultInjector(inj)
+	}
+	return clu
+}
+
+// Every one-sided get exhausts its retry budget, so every async batch
+// degrades to the reliable re-fetch. SDDMM shares the executor's degrade
+// path with SpMM, so the run completes with the fault-free values.
+func TestSDDMMSurvivesExhaustedGets(t *testing.T) {
+	const p, k = 4, 8
+	a, x, y, plan := webSDDMM(t, 0.01, p, k)
+	healthy, err := ExecSDDMM(plan(), x, y, newTestCluster(t, p, nil), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := &chaos.Plan{Seed: 1, Gets: []chaos.GetFault{{Origin: -1, Target: -1, Prob: 1, Fails: 10}}}
+	clu := newTestCluster(t, p, faults)
+	res, err := ExecSDDMM(plan(), x, y, clu, ExecOptions{})
+	if err != nil {
+		t.Fatalf("survivable plan aborted SDDMM: %v", err)
+	}
+	if clu.TotalResilience().Degradations == 0 {
+		t.Fatal("no get degraded: the plan did not exercise the fallback")
+	}
+	sddmmEqual(t, res.C, healthy.C)
+	want, err := a.SDDMM(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sddmmEqual(t, res.C, want)
+}
+
+// SDDMM is fail-clean: a crash aborts it whether or not the cluster is in
+// fail-recover mode (DESIGN.md section 12).
+func TestSDDMMCrashFailsClean(t *testing.T) {
+	const p, k = 4, 8
+	_, x, y, plan := webSDDMM(t, 0.05, p, k)
+	for _, rec := range []bool{false, true} {
+		clu := newTestCluster(t, p, &chaos.Plan{Seed: 1, Crashes: []chaos.Crash{{Rank: 2, At: 1e-6}}})
+		clu.SetRecovery(rec)
+		_, err := ExecSDDMM(plan(), x, y, clu, ExecOptions{})
+		if !errors.Is(err, cluster.ErrCrashed) {
+			t.Fatalf("recover=%v: err = %v, want ErrCrashed", rec, err)
+		}
+	}
+}
+
+// A cold SDDMM moves Y exactly as a cold Multiply moves B: same requests,
+// regions, bytes, and collective elements, and the same ledgers charged in
+// the same unit order, overlap credit included.
+func TestSDDMMLedgersMatchMultiply(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		p, k  int
+	}{{0.01, 4, 8}, {0.05, 8, 32}} {
+		t.Run(fmt.Sprintf("web@%v/p%d/K%d", c.scale, c.p, c.k), func(t *testing.T) {
+			_, x, y, plan := webSDDMM(t, c.scale, c.p, c.k)
+			mm, err := Exec(plan(), y, newTestCluster(t, c.p, nil), ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sd, err := ExecSDDMM(plan(), x, y, newTestCluster(t, c.p, nil), ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mm.TotalTransfer.OneSidedGets == 0 || mm.TotalTransfer.CollectiveBytes == 0 {
+				t.Fatalf("plan exercises only one half: %+v", mm.TotalTransfer)
+			}
+			if got, want := fmt.Sprintf("%#v", sd.TotalTransfer), fmt.Sprintf("%#v", mm.TotalTransfer); got != want {
+				t.Errorf("transfer:\n sddmm    %s\n multiply %s", got, want)
+			}
+			for i := range mm.Breakdowns {
+				if got, want := fmt.Sprintf("%#v", sd.Breakdowns[i]), fmt.Sprintf("%#v", mm.Breakdowns[i]); got != want {
+					t.Errorf("rank %d ledger:\n sddmm    %s\n multiply %s", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// SpMM+SDDMM pipelines share the row cache: an SDDMM whose Y is the B of
+// the Multiply before it on the same plan is served the rows that Multiply
+// fetched.
+func TestSDDMMReusesMultiplyRowCache(t *testing.T) {
+	const p, k = 4, 8
+	a, x, y, plan := webSDDMM(t, 0.05, p, k)
+	cold, err := ExecSDDMM(plan(), x, y, newTestCluster(t, p, nil), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, clu := plan(), newTestCluster(t, p, nil)
+	if _, err := Exec(prep, y, clu, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := ExecSDDMM(prep, x, y, clu, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.TotalTransfer.OneSidedBytes == 0 {
+		t.Fatal("plan moves nothing one-sidedly")
+	}
+	if warm.TotalTransfer.OneSidedBytes >= cold.TotalTransfer.OneSidedBytes {
+		t.Fatalf("warm SDDMM moved %d one-sided bytes, cold %d", warm.TotalTransfer.OneSidedBytes, cold.TotalTransfer.OneSidedBytes)
+	}
+	want, err := a.SDDMM(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sddmmEqual(t, warm.C, want)
 }

@@ -50,7 +50,19 @@ func (ws *asyncScratch) fetchBuf(n int) []float64 {
 	if cap(ws.drows) < n {
 		ws.drows = make([]float64, n)
 	}
-	return ws.drows[:n]
+	ws.drows = ws.drows[:n]
+	return ws.drows
+}
+
+// row returns the width-k dense row a batch column's reference points at:
+// ref >= 0 indexes the fetched rows, ref < 0 (^idx) the cache-hit copies.
+func (ws *asyncScratch) row(ref int32, k int) []float64 {
+	if ref >= 0 {
+		off := int(ref) * k
+		return ws.drows[off : off+k]
+	}
+	off := int(^ref) * k
+	return ws.crows[off : off+k]
 }
 
 // recvArena is the pooled backing store for a node's dense-stripe receive

@@ -150,6 +150,12 @@ go run -race ./cmd/twoface-run -matrix web -scale 0.05 -algo twoface \
     -fault-plan "$tmp/legs.json" >"$tmp/chaos_legs.out"
 grep -Eq 'chaos: (bit-exact with|matches) the fault-free run' "$tmp/chaos_legs.out"
 
+echo "== SDDMM smoke (attention example on the shared executor, -race)"
+# The example checks its SDDMM logits against the sequential reference and
+# exits non-zero on a mismatch.
+go run -race ./examples/attention >"$tmp/attention.out"
+grep -q 'logits match the sequential reference' "$tmp/attention.out"
+
 echo "== two-process TCP smoke (real sockets, C bit-identical to the simulator)"
 # Two OS processes, one rank each, rendezvous on 127.0.0.1. Single-worker
 # execution pins the accumulation order, so the gathered C must be
